@@ -10,7 +10,7 @@ BENCHTIME ?= 0.3s
 # cover all of them so benchmark code can never silently rot.
 BENCH_PKGS = . ./internal/ipc ./internal/rpc ./internal/iomgr ./internal/pager ./internal/camelot ./internal/obs
 
-.PHONY: all build vet fmt fmt-check test race bench bench-trajectory bench-smoke fuzz crosshost generate generate-check
+.PHONY: all build vet fmt fmt-check test race stress bench bench-trajectory bench-smoke fuzz crosshost generate generate-check
 
 all: build vet fmt-check generate-check test
 
@@ -44,9 +44,19 @@ fmt-check:
 test:
 	$(GO) test ./...
 
+# One processor and two: an interleaving bug that needs a second core
+# (the vm.Map races did) stays invisible at the runner's default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2 ./...
 	$(GO) test -race -count=2 -run 'TestPortSetChurnStress|TestReceiveAnyVsSetNoDoubleDelivery' ./internal/ipc
+
+# stress repeats the two tests that find address-map interleaving bugs —
+# cross-host out-of-line transfers through the shared transit map, and
+# the concurrent vm model — on one, two and four processors. A cold
+# first iteration often passes where the tenth does not.
+stress:
+	$(GO) test -run 'TestCrossHostStress' -cpu 1,2,4 -count=20 ./internal/netmsg
+	$(GO) test -run 'TestConcurrentTransitMatchesModel' -cpu 1,2,4 -count=20 ./internal/vm
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecode -fuzztime=5s ./internal/rpc

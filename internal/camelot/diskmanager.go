@@ -222,29 +222,30 @@ func (h *dmHandler) PortDeath(mo *pager.MemoryObject)   {}
 func (h *dmHandler) DataUnlock(mo *pager.MemoryObject, offset, length uint64, desired vm.Prot) {
 }
 
-// DataRequest serves a recoverable page from the data disk.
+// DataRequest serves recoverable pages from the data disk: the part of
+// the requested range that lies inside the segment.
 func (h *dmHandler) DataRequest(mo *pager.MemoryObject, offset, length uint64, desired vm.Prot) {
 	dm := h.dm()
 	seg, _ := mo.Tag.(*segment)
-	if seg == nil {
-		_ = mo.DataUnavailable(offset, length)
-		return
-	}
 	ps := dm.kernel.VM.PageSize()
-	idx := int(offset / ps)
-	dm.mu.Lock()
-	var blk = -1
-	if idx < len(seg.blocks) {
-		blk = seg.blocks[idx]
-	}
-	dm.mu.Unlock()
-	if blk < 0 {
-		_ = mo.DataUnavailable(offset, length)
+	if seg == nil {
+		_ = mo.DataUnavailable(offset, ps)
 		return
 	}
-	buf := make([]byte, ps)
-	dm.dataDisk.Read(blk, buf)
-	_ = mo.DataProvided(offset, buf, vm.ProtNone)
+	mo.ProvideRange(offset, length, ps, func(off uint64, page []byte) bool {
+		idx := int(off / ps)
+		dm.mu.Lock()
+		blk := -1
+		if idx < len(seg.blocks) {
+			blk = seg.blocks[idx]
+		}
+		dm.mu.Unlock()
+		if blk < 0 {
+			return false
+		}
+		dm.dataDisk.Read(blk, page)
+		return true
+	})
 }
 
 // DataWrite is the heart of §8.3: before a recoverable page goes to the

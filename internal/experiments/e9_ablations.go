@@ -183,7 +183,7 @@ func (d *directStore) DataRequest(obj *vm.Object, offset, length uint64, desired
 	data, ok := d.pages[key(obj, offset)]
 	d.mu.Unlock()
 	if !ok {
-		d.sys.DataUnavailable(obj, offset, length)
+		d.sys.DataUnavailable(obj, offset, uint64(d.pageSize))
 		return
 	}
 	d.sys.DataProvided(obj, offset, data, vm.ProtNone)

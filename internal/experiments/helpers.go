@@ -49,7 +49,7 @@ func (mp *memPager) DataRequest(mo *pager.MemoryObject, offset, length uint64, d
 		return
 	}
 	if !ok {
-		_ = mo.DataUnavailable(offset, length)
+		_ = mo.DataUnavailable(offset, uint64(mp.pageSize))
 		return
 	}
 	_ = mo.DataProvided(offset, data, lock)

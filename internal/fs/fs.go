@@ -227,32 +227,38 @@ func (h *serverHandler) PagerInit(mo *pager.MemoryObject) {
 	_ = mo.Cache(true)
 }
 
-// DataRequest reads the requested page from disk and returns it with no
-// locking, as the paper's handler does.
+// DataRequest reads the requested pages from disk and returns them with
+// no locking, as the paper's handler does ("allocate disk buffer ...
+// lookup ... disk_read ... return the data with no locking ... deallocate
+// disk buffer"). The request is a range: the file's blocks behind it go
+// back in one pager_data_provided, and what lies past the end of the file
+// is reported unavailable — a file has no holes, so the first page
+// without a block is the end, and nothing after it exists either.
 func (h *serverHandler) DataRequest(mo *pager.MemoryObject, offset, length uint64, desired vm.Prot) {
 	s := h.srv()
+	ps := s.kernel.VM.PageSize()
 	f, _ := mo.Tag.(*file)
 	if f == nil {
-		_ = mo.DataUnavailable(offset, length)
+		_ = mo.DataUnavailable(offset, ps)
 		return
 	}
-	ps := s.kernel.VM.PageSize()
-	idx := int(offset / ps)
-	s.mu.Lock()
-	var blk = -1
-	if idx < len(f.blocks) {
-		blk = f.blocks[idx]
+	got := mo.ProvideRange(offset, length, ps, func(off uint64, page []byte) bool {
+		idx := int(off / ps)
+		s.mu.Lock()
+		blk := -1
+		if idx < len(f.blocks) {
+			blk = f.blocks[idx]
+		}
+		s.mu.Unlock()
+		if blk < 0 {
+			return false
+		}
+		s.disk.Read(blk, page)
+		return true
+	})
+	if 0 < got && got < length {
+		_ = mo.DataUnavailable(offset+got, length-got)
 	}
-	s.mu.Unlock()
-	if blk < 0 {
-		_ = mo.DataUnavailable(offset, length)
-		return
-	}
-	// "Allocate disk buffer ... lookup ... disk_read ... return the
-	// data with no locking ... deallocate disk buffer."
-	buf := make([]byte, ps)
-	s.disk.Read(blk, buf)
-	_ = mo.DataProvided(offset, buf, vm.ProtNone)
 }
 
 // DataWrite never happens for the read/copy-on-write interface; data is

@@ -2,11 +2,15 @@ package fs
 
 import (
 	"bytes"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/pager"
+	"repro/internal/vm"
 )
 
 const pgsz = 256
@@ -284,5 +288,166 @@ func TestListFiles(t *testing.T) {
 	}
 	if len(names) != 2 || names[0] != "a.txt" || names[1] != "b.txt" {
 		t.Fatalf("list %v", names)
+	}
+}
+
+// requestLog wraps the server's pager handler and records the length of
+// every pager_data_request it is given.
+type requestLog struct {
+	pager.Handler
+	mu      sync.Mutex
+	lengths []uint64
+}
+
+func (l *requestLog) DataRequest(mo *pager.MemoryObject, offset, length uint64, desired vm.Prot) {
+	l.mu.Lock()
+	l.lengths = append(l.lengths, length/pgsz)
+	l.mu.Unlock()
+	l.Handler.DataRequest(mo, offset, length, desired)
+}
+
+// take returns the request lengths, in pages, recorded since the last
+// call.
+func (l *requestLog) take() []uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.lengths
+	l.lengths = nil
+	return out
+}
+
+// newLoggedFS is newFS with a requestLog in front of the pager handler.
+func newLoggedFS(t *testing.T) (*kern.Kernel, *Server, *kern.Task, *requestLog) {
+	t.Helper()
+	k := kern.NewKernel(kern.Config{Frames: 256, PageSize: pgsz})
+	t.Cleanup(k.Shutdown)
+	disk := machine.NewDisk(1024, pgsz, machine.DefaultDiskLatency, k.Clock())
+	srv, err := NewServer(k, disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &requestLog{Handler: srv.mgr.Handler}
+	srv.mgr.Handler = log
+	go srv.Run()
+	t.Cleanup(srv.Stop)
+	return k, srv, k.NewTask(), log
+}
+
+func numbered(pages int) []byte {
+	content := make([]byte, pages*pgsz)
+	for i := range content {
+		content[i] = byte(i/pgsz + 1)
+	}
+	return content
+}
+
+// The point of the ranged request: a cold file read is one round trip to
+// the pager, not one per page, and reads each block once.
+func TestColdFileReadIsOneRequest(t *testing.T) {
+	k, srv, client, log := newLoggedFS(t)
+	svc, _ := srv.Publish(client)
+	content := numbered(16)
+	if err := srv.CreateFile("cold", content); err != nil {
+		t.Fatal(err)
+	}
+	addr, size, err := ReadFile(client, svc, "cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads0, faults0 := srv.Disk().Stats().Reads, k.VM.Stats().Faults
+	got, err := client.VMRead(addr, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, content) {
+		t.Fatal("content mismatch")
+	}
+	if reqs := log.take(); !reflect.DeepEqual(reqs, []uint64{16}) {
+		t.Fatalf("pager_data_requests (pages each) %v, want one of 16", reqs)
+	}
+	if n := srv.Disk().Stats().Reads - reads0; n != 16 {
+		t.Fatalf("disk reads %d, want 16", n)
+	}
+	if n := k.VM.Stats().Faults - faults0; n > 3 {
+		t.Fatalf("faults %d, want at most 3", n)
+	}
+}
+
+// Only what the kernel does not cache is asked for, so a page is never
+// read from disk twice.
+func TestHalfResidentFileReadsOnlyAbsentPages(t *testing.T) {
+	_, srv, client, log := newLoggedFS(t)
+	svc, _ := srv.Publish(client)
+	content := numbered(16)
+	if err := srv.CreateFile("half", content); err != nil {
+		t.Fatal(err)
+	}
+	addr, size, err := ReadFile(client, svc, "half")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.VMRead(addr+4*pgsz, 4*pgsz); err != nil {
+		t.Fatal(err)
+	}
+	if reqs := log.take(); !reflect.DeepEqual(reqs, []uint64{4}) {
+		t.Fatalf("requests %v, want one of 4 pages", reqs)
+	}
+	reads0 := srv.Disk().Stats().Reads
+	got, err := client.VMRead(addr, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, content) {
+		t.Fatal("content mismatch")
+	}
+	if reqs := log.take(); !reflect.DeepEqual(reqs, []uint64{4, 8}) {
+		t.Fatalf("requests %v, want the absent runs: 4 pages, then 8", reqs)
+	}
+	if n := srv.Disk().Stats().Reads - reads0; n != 12 {
+		t.Fatalf("disk reads %d, want the 12 absent pages", n)
+	}
+}
+
+// A request that reaches past the end of the file is answered with the
+// file's pages and pager_data_unavailable for the rest: the kernel
+// zero-fills each page past the end as the access gets to it.
+func TestRequestPastEndOfFile(t *testing.T) {
+	k, srv, client, log := newLoggedFS(t)
+	svc, _ := srv.Publish(client)
+	content := numbered(3)
+	if err := srv.CreateFile("short", content); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFile(client, svc, "short"); err != nil {
+		t.Fatal(err)
+	}
+	// Map the file's memory object over 8 pages, 5 more than it has.
+	srv.mu.Lock()
+	mo := srv.files["short"].mo
+	srv.mu.Unlock()
+	name, err := srv.task.Space.CopySendRight(client.Space, mo.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := client.VMAllocateWithPager(name, 0, 0, 8*pgsz, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads0, zero0 := srv.Disk().Stats().Reads, k.VM.Stats().ZeroFills
+	got, err := client.VMRead(addr, 8*pgsz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append(content, make([]byte, 5*pgsz)...)) {
+		t.Fatal("want the file, then zeroes")
+	}
+	if reqs := log.take(); !reflect.DeepEqual(reqs, []uint64{8, 5, 4, 3, 2, 1}) {
+		t.Fatalf("requests %v", reqs)
+	}
+	if n := srv.Disk().Stats().Reads - reads0; n != 3 {
+		t.Fatalf("disk reads %d, want the file's 3 blocks", n)
+	}
+	if n := k.VM.Stats().ZeroFills - zero0; n != 5 {
+		t.Fatalf("zero fills %d, want the 5 pages past the end", n)
 	}
 }

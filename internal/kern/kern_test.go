@@ -56,7 +56,7 @@ func (sp *storePager) DataRequest(mo *pager.MemoryObject, offset, length uint64,
 	data, ok := sp.store[offset]
 	sp.mu.Unlock()
 	if !ok {
-		_ = mo.DataUnavailable(offset, length)
+		_ = mo.DataUnavailable(offset, pgsz)
 		return
 	}
 	_ = mo.DataProvided(offset, data, vm.ProtNone)
@@ -691,5 +691,161 @@ func TestKernelStatisticsAggregate(t *testing.T) {
 	}
 	if st.FreeCount <= 0 || st.FreeCount > 128 {
 		t.Fatalf("free count %d", st.FreeCount)
+	}
+}
+
+// A manager written before requests were ranged — storePager answers the
+// first page of whatever it is asked — still serves a multi-page read,
+// one round trip per page.
+func TestFirstPageOnlyManagerServesMultiPageRead(t *testing.T) {
+	k := newTestKernel(t)
+	client := k.NewTask()
+	sp, _, moName := startManager(t, k, client)
+	const pages = 6
+	for i := 0; i < pages; i++ {
+		sp.seed(uint64(i)*pgsz, byte(0x10+i))
+	}
+	addr, err := client.VMAllocateWithPager(moName, 0, 0, pages*pgsz, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := client.VMRead(addr, pages*pgsz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pages; i++ {
+		if !bytes.Equal(got[i*pgsz:(i+1)*pgsz], bytes.Repeat([]byte{byte(0x10 + i)}, pgsz)) {
+			t.Fatalf("page %d holds %x", i, got[i*pgsz])
+		}
+	}
+	sp.mu.Lock()
+	reqs := sp.reqs
+	sp.mu.Unlock()
+	if reqs != pages {
+		t.Fatalf("requests %d, want one per page (%d)", reqs, pages)
+	}
+}
+
+// One-page accesses to paged-out anonymous memory read one block each:
+// the range of a request is the access, so there is no read-ahead.
+func TestDefaultPagerSinglePageAccessesReadOnePage(t *testing.T) {
+	k := NewKernel(Config{Frames: 16, PageSize: pgsz})
+	defer k.Shutdown()
+	task := k.NewTask()
+	const npages = 64
+	addr, err := task.VMAllocate(0, npages*pgsz, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < npages; i++ {
+		if err := task.VMWrite(addr+uint64(i)*pgsz, bytes.Repeat([]byte{byte(i + 1)}, pgsz)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reads0, pageins0 := k.DefaultPager().Counters().Reads, k.Statistics().Pageins
+	touched := int64(0)
+	for i := 0; i < 40; i += 4 {
+		got, err := task.VMRead(addr+uint64(i)*pgsz, pgsz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != byte(i+1) || got[pgsz-1] != byte(i+1) {
+			t.Fatalf("page %d holds %d", i, got[0])
+		}
+		touched++
+	}
+	reads, pageins := k.DefaultPager().Counters().Reads-reads0, k.Statistics().Pageins-pageins0
+	if reads != pageins || reads == 0 || reads > touched {
+		t.Fatalf("%d pages touched: %d store reads, %d page-ins; want equal and no more than touched", touched, reads, pageins)
+	}
+}
+
+// gatedHandler holds pager_data_requests at the manager's door until the
+// test opens it, so a test can get a second fault in before the first is
+// answered.
+type gatedHandler struct {
+	pager.Handler
+	arrived chan uint64   // the offset of each request, as it arrives
+	open    chan struct{} // closed to let requests through
+}
+
+func (g *gatedHandler) DataRequest(mo *pager.MemoryObject, offset, length uint64, desired vm.Prot) {
+	g.arrived <- offset
+	<-g.open
+	g.Handler.DataRequest(mo, offset, length, desired)
+}
+
+// The answer to a ranged request must not speak for pages it did not look
+// at. The default pager holds pages 0, 1 and 3 of a sparse object; one
+// thread reads the whole of it (a request for 4 pages, which page 2 cuts
+// short) while another waits for page 3 alone. The second thread's page
+// is inside the first one's hint, and it must get its data, not the
+// zeroes of a pager_data_unavailable that named the rest of the range.
+func TestRangedAnswerLeavesHeldPagesToTheirOwnFaults(t *testing.T) {
+	k := newTestKernel(t)
+	client := k.NewTask()
+	mgrTask := k.NewTask()
+	dp := pager.NewDefaultPager(machine.NewDisk(64, pgsz, 0, nil))
+	gate := &gatedHandler{Handler: dp, arrived: make(chan uint64, 8), open: make(chan struct{})}
+	mgr := pager.NewManager(mgrTask.Space, gate)
+	mo, err := mgr.NewObject(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []uint64{0, 1, 3} {
+		dp.DataWrite(mo, p*pgsz, bytes.Repeat([]byte{byte(0xA0 + p)}, pgsz))
+	}
+	go mgr.Run()
+	t.Cleanup(mgr.Stop)
+	port, err := mgrTask.Space.Resolve(mo.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moName, err := client.Space.InsertRight(port, ipc.SendRight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := client.VMAllocateWithPager(moName, 0, 0, 4*pgsz, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	read := func(off, size uint64) chan []byte {
+		out := make(chan []byte, 1)
+		go func() {
+			got, err := client.VMRead(addr+off, size)
+			if err != nil {
+				t.Error(err)
+			}
+			out <- got
+		}()
+		return out
+	}
+	faults0 := k.Statistics().Faults
+	whole := read(0, 4*pgsz)
+	if off := <-gate.arrived; off != 0 {
+		t.Fatalf("first request at %d, want 0", off)
+	}
+	// The 4-page request is held at the manager. Page 3 is now faulted on
+	// its own: once the fault is counted its placeholder is in, and its
+	// request queues behind the one being held.
+	last := read(3*pgsz, pgsz)
+	for deadline := time.Now().Add(5 * time.Second); k.Statistics().Faults < faults0+2; {
+		if time.Now().After(deadline) {
+			t.Fatal("the second fault never happened")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.open)
+
+	if got := <-last; len(got) != pgsz || got[0] != 0xA3 || got[pgsz-1] != 0xA3 {
+		t.Fatalf("page 3 read alone holds %x, want a3", got[:1])
+	}
+	want := bytes.Join([][]byte{
+		bytes.Repeat([]byte{0xA0}, pgsz), bytes.Repeat([]byte{0xA1}, pgsz),
+		make([]byte, pgsz), bytes.Repeat([]byte{0xA3}, pgsz),
+	}, nil)
+	if got := <-whole; !bytes.Equal(got, want) {
+		t.Fatalf("whole read holds %x %x %x %x, want a0 a1 00 a3", got[0], got[pgsz], got[2*pgsz], got[3*pgsz])
 	}
 }

@@ -26,23 +26,12 @@ type corPager struct {
 	size uint64
 }
 
-// DataRequest reads the requested page out of the sender's transit map.
+// DataRequest reads the requested pages out of the sender's transit map:
+// the part of the range that lies inside the region.
 func (cp *corPager) DataRequest(mo *pager.MemoryObject, offset, length uint64, desired vm.Prot) {
-	ps := cp.k.VM.PageSize()
-	if offset >= cp.size {
-		_ = mo.DataUnavailable(offset, length)
-		return
-	}
-	// DataProvided copies the page into its wire payload, so the pooled
-	// staging slab can be recycled as soon as the call returns.
-	slab := ipc.AllocSlab(int(ps))
-	defer slab.Release()
-	buf := slab.Bytes()
-	if err := cp.k.transit.ReadBytes(cp.addr+offset, buf); err != nil {
-		_ = mo.DataUnavailable(offset, length)
-		return
-	}
-	_ = mo.DataProvided(offset, buf, vm.ProtNone)
+	mo.ProvideRange(offset, length, cp.k.VM.PageSize(), func(off uint64, page []byte) bool {
+		return off < cp.size && cp.k.transit.ReadBytes(cp.addr+off, page) == nil
+	})
 }
 
 // DataWrite accepts a dirty page evicted by the receiving kernel back

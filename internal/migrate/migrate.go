@@ -198,14 +198,14 @@ func (h *handler) PagerCreate(mo *pager.MemoryObject) {}
 func (h *handler) DataRequest(mo *pager.MemoryObject, offset, length uint64, desired vm.Prot) {
 	m := h.mig()
 	tag, _ := mo.Tag.(*regionTag)
+	ps := m.srcTask.Kernel().VM.PageSize()
 	if tag == nil || offset >= tag.size {
-		_ = mo.DataUnavailable(offset, length)
+		_ = mo.DataUnavailable(offset, ps)
 		return
 	}
-	ps := m.srcTask.Kernel().VM.PageSize()
 	buf := make([]byte, ps)
 	if err := m.srcTask.Map.ReadBytes(tag.start+offset, buf); err != nil {
-		_ = mo.DataUnavailable(offset, length)
+		_ = mo.DataUnavailable(offset, ps)
 		return
 	}
 	m.pagesRequested.Add(1)

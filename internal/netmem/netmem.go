@@ -313,7 +313,7 @@ func (h *handler) page(r *region, off uint64) *pageState {
 func (h *handler) DataRequest(mo *pager.MemoryObject, offset, length uint64, desired vm.Prot) {
 	r := h.regionOf(mo)
 	if r == nil {
-		_ = mo.DataUnavailable(offset, length)
+		_ = mo.DataUnavailable(offset, h.srv().pageSize())
 		return
 	}
 	p := h.page(r, offset)

@@ -73,24 +73,19 @@ func (dp *DefaultPager) PagerCreate(mo *MemoryObject) {
 	dp.mu.Unlock()
 }
 
-// DataRequest serves a page from backing store, or reports it
-// unavailable (never written) so the kernel zero-fills.
+// DataRequest serves pages from backing store: the longest prefix of the
+// range that has been written out. A page never written is reported
+// unavailable, so the kernel zero-fills it.
 func (dp *DefaultPager) DataRequest(mo *MemoryObject, offset, length uint64, desired vm.Prot) {
-	dp.mu.Lock()
-	bm := dp.blocks[mo]
-	var blk int
-	ok := false
-	if bm != nil {
-		blk, ok = bm[offset]
-	}
-	dp.mu.Unlock()
-	if !ok {
-		_ = mo.DataUnavailable(offset, length)
-		return
-	}
-	buf := make([]byte, dp.store.BlockSize())
-	dp.store.Read(blk, buf)
-	_ = mo.DataProvided(offset, buf, vm.ProtNone)
+	mo.ProvideRange(offset, length, uint64(dp.store.BlockSize()), func(off uint64, page []byte) bool {
+		dp.mu.Lock()
+		blk, ok := dp.blocks[mo][off]
+		dp.mu.Unlock()
+		if ok {
+			dp.store.Read(blk, page)
+		}
+		return ok
+	})
 }
 
 // DataWrite stores an evicted page.

@@ -137,27 +137,37 @@ func (c *ObjectCache) serviceRequestPort(obj *vm.Object, req *ipc.Port) {
 		if err != nil {
 			return
 		}
-		offset, length, prot, flag, data, ok := decodePayload(msg.InlineData())
-		if !ok {
-			continue
-		}
-		switch msg.ID {
-		case MsgDataProvided:
-			c.sys.DataProvided(obj, offset, data, prot)
-		case MsgDataLock:
-			c.sys.LockRequest(obj, offset, length, prot)
-		case MsgFlushRequest:
-			wrote := c.sys.FlushRequest(obj, offset, length)
-			c.ackFlush(msg, offset, length, wrote)
-		case MsgCleanRequest:
-			wrote := c.sys.CleanRequest(obj, offset, length)
-			c.ackFlush(msg, offset, length, wrote)
-		case MsgCache:
-			c.sys.SetCanCache(obj, flag == 1)
-		case MsgDataUnavailable:
-			c.sys.DataUnavailable(obj, offset, length)
-		}
+		c.apply(obj, msg)
 		msg.ReleaseRights()
+		// The call has been applied and any pages copied into frames:
+		// this loop is the message's last owner (DataProvided builds
+		// its message from the pool).
+		msg.Release()
+	}
+}
+
+// apply performs one manager-to-kernel call on the VM system; a
+// malformed message is dropped.
+func (c *ObjectCache) apply(obj *vm.Object, msg *ipc.Message) {
+	offset, length, prot, flag, data, ok := decodePayload(msg.InlineData())
+	if !ok {
+		return
+	}
+	switch msg.ID {
+	case MsgDataProvided:
+		c.sys.DataProvided(obj, offset, data, prot)
+	case MsgDataLock:
+		c.sys.LockRequest(obj, offset, length, prot)
+	case MsgFlushRequest:
+		wrote := c.sys.FlushRequest(obj, offset, length)
+		c.ackFlush(msg, offset, length, wrote)
+	case MsgCleanRequest:
+		wrote := c.sys.CleanRequest(obj, offset, length)
+		c.ackFlush(msg, offset, length, wrote)
+	case MsgCache:
+		c.sys.SetCanCache(obj, flag == 1)
+	case MsgDataUnavailable:
+		c.sys.DataUnavailable(obj, offset, length)
 	}
 }
 

@@ -38,9 +38,49 @@ func (mo *MemoryObject) send(id ipc.MsgID, payload []byte) error {
 }
 
 // DataProvided supplies the kernel with object data
-// (pager_data_provided) with an initial lock value.
+// (pager_data_provided) with an initial lock value. data may be longer
+// than what was requested, and may be reused as soon as the call returns:
+// the pages are copied once, into a pooled message that the kernel's
+// service loop recycles after applying it.
 func (mo *MemoryObject) DataProvided(offset uint64, data []byte, lock vm.Prot) error {
-	return mo.send(MsgDataProvided, encodePayload(offset, uint64(len(data)), lock, 0, data))
+	m := ipc.GetMessage()
+	m.ID = MsgDataProvided
+	m.RemotePort = mo.Request
+	m.InlineCopy(encodePayload(offset, uint64(len(data)), lock, 0, nil), data)
+	err := mo.mgr.Space.Send(m, ipc.SendOptions{})
+	if err != nil {
+		m.Release()
+	}
+	return err
+}
+
+// ProvideRange answers a pager_data_request for [offset, offset+length)
+// from a page reader: read fills one page of the object, or reports that
+// the manager holds nothing for it. The longest prefix of the range that
+// read supplies goes to the kernel as one pager_data_provided, staged in
+// one pooled buffer, and nothing is said about the rest: the first miss
+// ends the scan, so the pages after it are not known to be empty, and the
+// kernel faults again for whichever of them it needs. Only when the first
+// page itself — the one the kernel waits for — is missing is it reported
+// with pager_data_unavailable. A one-page request is answered exactly as
+// by hand: one read, then provided or unavailable. ProvideRange returns
+// the number of bytes it provided, for a manager that knows what its
+// first miss means (past a file's end, nothing exists) and reports the
+// rest itself.
+func (mo *MemoryObject) ProvideRange(offset, length, pageSize uint64, read func(offset uint64, page []byte) bool) uint64 {
+	slab := ipc.AllocSlab(int(length))
+	defer slab.Release()
+	buf := slab.Bytes()
+	got := uint64(0)
+	for got+pageSize <= length && read(offset+got, buf[got:got+pageSize]) {
+		got += pageSize
+	}
+	if got == 0 {
+		_ = mo.DataUnavailable(offset, pageSize)
+		return 0
+	}
+	_ = mo.DataProvided(offset, buf[:got], vm.ProtNone)
+	return got
 }
 
 // DataLock restricts cache access to the given data (pager_data_lock).
@@ -106,7 +146,11 @@ func (mo *MemoryObject) Cache(mayCache bool) error {
 }
 
 // DataUnavailable notifies the kernel that no data exists for the region
-// (pager_data_unavailable).
+// (pager_data_unavailable): the kernel zero-fills every page of it that a
+// fault is waiting for. It is a statement about each page named, so a
+// DataRequest handler must not echo the request's length, which may reach
+// over pages the manager does hold and other faults are waiting for; name
+// the pages known to be empty — failing that, the one page at offset.
 func (mo *MemoryObject) DataUnavailable(offset, size uint64) error {
 	return mo.send(MsgDataUnavailable, encodePayload(offset, size, 0, 0, nil))
 }
@@ -118,7 +162,14 @@ type Handler interface {
 	// time (pager_init). mo.Request is valid from here on.
 	PagerInit(mo *MemoryObject)
 	// DataRequest asks for [offset, offset+length); answer with
-	// mo.DataProvided or mo.DataUnavailable (pager_data_request).
+	// mo.DataProvided or mo.DataUnavailable (pager_data_request), or
+	// with mo.ProvideRange, which does both. The kernel waits for the
+	// first page only. A length beyond it is a hint — the pages the
+	// faulting access is about to touch that the kernel does not
+	// cache — and the manager may answer any prefix of the range: a
+	// handler that ignores length and answers for one page is correct.
+	// One that reports length as unavailable is not (see
+	// DataUnavailable): other faults may be waiting inside the hint.
 	DataRequest(mo *MemoryObject, offset, length uint64, desired vm.Prot)
 	// DataWrite returns modified data to the manager
 	// (pager_data_write).

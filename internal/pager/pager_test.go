@@ -237,3 +237,63 @@ func TestManagerDefaultDispatch(t *testing.T) {
 		t.Fatal("application message not dispatched to Default")
 	}
 }
+
+// A ranged request to the default pager is answered with the longest
+// prefix it holds, in one message, and with nothing about the rest, which
+// may hold pages (5 here) that other faults are waiting for. Only a first
+// page it does not hold is reported unavailable, alone. A one-page request
+// reads one block.
+func TestDefaultPagerAnswersTheHeldPrefix(t *testing.T) {
+	disk := machine.NewDisk(64, 128, 0, nil)
+	dp := NewDefaultPager(disk)
+	space := ipc.NewSpace(0, nil)
+	mgr := NewManager(space, dp)
+	mo, _ := mgr.NewObject(nil)
+	dp.PagerCreate(mo)
+	kernelSide := ipc.NewSpace(0, nil)
+	reqName, _ := kernelSide.AllocatePort()
+	kernelSide.Enable(reqName)
+	reqPort, _ := kernelSide.Resolve(reqName)
+	mo.Request, _ = space.InsertRight(reqPort, ipc.SendRight)
+	next := func() (ipc.MsgID, uint64, uint64, []byte) {
+		t.Helper()
+		msg, err := kernelSide.Receive(reqName, ipc.ReceiveOptions{Timeout: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, length, _, _, data, ok := decodePayload(msg.InlineData())
+		if !ok {
+			t.Fatal("malformed payload")
+		}
+		return msg.ID, off, length, data
+	}
+
+	// Pages 2 and 3 are on disk, page 4 is not, page 5 is.
+	for _, p := range []int{2, 3, 5} {
+		dp.DataWrite(mo, uint64(p)*128, bytes.Repeat([]byte{byte(p)}, 128))
+	}
+	dp.DataRequest(mo, 2*128, 4*128, vm.ProtRead)
+	id, off, length, data := next()
+	want := append(bytes.Repeat([]byte{2}, 128), bytes.Repeat([]byte{3}, 128)...)
+	if id != MsgDataProvided || off != 2*128 || length != 2*128 || !bytes.Equal(data, want) {
+		t.Fatalf("first answer: id %d off %d length %d", id, off, length)
+	}
+	if n := disk.Stats().Reads; n != 2 {
+		t.Fatalf("disk reads %d, want the 2 pages provided", n)
+	}
+
+	// The next message is the answer to this request: the one before got
+	// no second answer. Page 5 is in the range, and held.
+	dp.DataRequest(mo, 4*128, 2*128, vm.ProtRead)
+	if id, off, length, _ = next(); id != MsgDataUnavailable || off != 4*128 || length != 128 {
+		t.Fatalf("answer for a page never written: id %d off %d length %d, want unavailable for that page alone", id, off, length)
+	}
+
+	dp.DataRequest(mo, 5*128, 128, vm.ProtRead)
+	if id, off, length, _ = next(); id != MsgDataProvided || off != 5*128 || length != 128 {
+		t.Fatalf("one-page answer: id %d off %d length %d", id, off, length)
+	}
+	if n := disk.Stats().Reads; n != 3 {
+		t.Fatalf("disk reads %d after a one-page request, want 3", n)
+	}
+}

@@ -6,6 +6,28 @@
 // pager_flush_request, pager_clean_request, pager_cache,
 // pager_data_unavailable).
 //
+// The range contract of pager_data_request: offset names the page a
+// fault is waiting for, and that page is the only one the kernel waits
+// for. A length of more than one page is a hint — the run of pages the
+// faulting access is about to touch that the kernel does not cache,
+// clipped to the access, the map entry, the object and a cluster of
+// pages — and the manager may answer any prefix of the range with
+// pager_data_provided ("advanced data managers may provide more data
+// than requested" cuts both ways: less is fine too). The kernel installs
+// whatever arrives, keeps its own copy of a page it already caches, and
+// faults again, per page, for what did not come. A manager written
+// against one-page requests that answers for the page at offset is
+// therefore still correct, and one that answers the range
+// (MemoryObject.ProvideRange) turns a multi-page access into one round
+// trip.
+//
+// pager_data_unavailable is the exception to "length is only a hint": it
+// makes the kernel zero-fill every page it names that a fault is waiting
+// for, and a second fault may be waiting, on its own request, for a page
+// inside the first one's hint. So it must name only pages the manager
+// knows to be empty — never the request's length as such. A manager that
+// looked at the first page only reports that page.
+//
 // It also provides the manager-side library (Manager) that data-manager
 // tasks embed — the filesystem server, shared memory server, migration
 // manager and Camelot disk manager are all built on it — and the trusted

@@ -51,7 +51,9 @@ func (m *Map) access(addr uint64, buf []byte, desired Prot) error {
 			continue
 		}
 		s.mu.Unlock()
-		if err := m.Fault(pageAddr+pageOff, desired); err != nil {
+		// The fault is told how far the access still has to go, so one
+		// fault can page in and map the whole remainder.
+		if err := m.fault(pageAddr+pageOff, uint64(len(buf)-pos), desired); err != nil {
 			return err
 		}
 	}
@@ -75,7 +77,7 @@ func (m *Map) Touch(addr, size uint64, desired Prot) error {
 			continue
 		}
 		s.mu.Unlock()
-		if err := m.Fault(a, desired); err != nil {
+		if err := m.fault(a, end-a, desired); err != nil {
 			return err
 		}
 		s.charge(1)

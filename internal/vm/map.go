@@ -27,6 +27,11 @@ type Entry struct {
 	needsCopy bool
 }
 
+// reserved reports whether e is a reservation: an entry with nothing
+// behind it, which CopyRegionTo holds a destination range with while it
+// builds the real entries. The range is taken, but not valid memory.
+func (e *Entry) reserved() bool { return e.object == nil && e.sharing == nil }
+
 // shareMap is a second-level sharing map: the object-holding map that
 // top-level entries of several tasks reference after read/write
 // inheritance, so that changes to the virtual memory itself are seen by
@@ -171,10 +176,11 @@ func (m *Map) derefTarget(e *Entry) {
 	}
 }
 
-// clipStart splits the entry at index i so that it starts at addr.
+// clipStart splits the entry at index i so that it starts at addr. A
+// reservation is never split: it stays the one entry its holder put in.
 func (m *Map) clipStart(i int, addr uint64) {
 	e := m.entries[i]
-	if addr <= e.start || addr >= e.end {
+	if addr <= e.start || addr >= e.end || e.reserved() {
 		return
 	}
 	head := &Entry{
@@ -191,10 +197,11 @@ func (m *Map) clipStart(i int, addr uint64) {
 	m.entries[i] = head
 }
 
-// clipEnd splits the entry at index i so that it ends at addr.
+// clipEnd splits the entry at index i so that it ends at addr, unless it
+// is a reservation.
 func (m *Map) clipEnd(i int, addr uint64) {
 	e := m.entries[i]
-	if addr <= e.start || addr >= e.end {
+	if addr <= e.start || addr >= e.end || e.reserved() {
 		return
 	}
 	tail := &Entry{
@@ -212,7 +219,9 @@ func (m *Map) clipEnd(i int, addr uint64) {
 
 // clipRange splits entries so that [start, end) boundaries coincide with
 // entry boundaries, and returns the indexes [i, j) of entries inside the
-// range. All addresses page aligned.
+// range. All addresses page aligned. Reservations are left whole, so one
+// may be among the entries returned, reaching past end: callers skip
+// reserved entries, which are their holder's alone to change or remove.
 func (m *Map) clipRange(start, end uint64) (int, int) {
 	i := sort.Search(len(m.entries), func(i int) bool {
 		return m.entries[i].end > start
@@ -269,14 +278,21 @@ func (m *Map) Allocate(addr uint64, size uint64, anywhere bool) (uint64, error) 
 			return 0, ErrNoSpace
 		}
 	}
-	obj := m.sys.NewAnonymousObject(size)
+	m.insertEntry(m.sys.anonymousEntry(addr, size))
+	return addr, nil
+}
+
+// anonymousEntry builds the entry vm_allocate makes: size bytes of fresh
+// zero-fill memory at start, with the default attributes and the entry's
+// reference on its object.
+func (s *System) anonymousEntry(start, size uint64) *Entry {
+	obj := s.NewAnonymousObject(size)
 	obj.refs = 1
-	m.insertEntry(&Entry{
-		start: addr, end: addr + size,
+	return &Entry{
+		start: start, end: start + size,
 		prot: ProtDefault, maxProt: ProtAll, inherit: InheritCopy,
 		object: obj,
-	})
-	return addr, nil
+	}
 }
 
 // AllocateWithObject maps a memory object into the address space
@@ -329,15 +345,25 @@ func (m *Map) Deallocate(addr, size uint64) error {
 		return err
 	}
 	i, j := m.clipRange(addr, addr+size)
-	removed := make([]*Entry, j-i)
-	copy(removed, m.entries[i:j])
-	m.entries = append(m.entries[:i], m.entries[j:]...)
-	m.mu.Unlock()
-
+	removed := make([]*Entry, 0, j-i)
+	kept := m.entries[:i]
+	for _, e := range m.entries[i:j] {
+		if e.reserved() {
+			kept = append(kept, e)
+		} else {
+			removed = append(removed, e)
+		}
+	}
+	m.entries = append(kept, m.entries[j:]...)
+	// The translations go before the range can be allocated again: a
+	// new owner must neither inherit them nor lose its own to this
+	// removal.
 	ps := m.sys.PageSize()
 	m.sys.mu.Lock()
 	m.pmap.remove(addr/ps, (addr+size)/ps-1)
 	m.sys.mu.Unlock()
+	m.mu.Unlock()
+
 	for _, e := range removed {
 		m.derefTarget(e)
 	}
@@ -356,6 +382,9 @@ func (m *Map) Protect(addr, size uint64, setMax bool, prot Prot) error {
 	}
 	i, j := m.clipRange(addr, addr+size)
 	for _, e := range m.entries[i:j] {
+		if e.reserved() {
+			continue
+		}
 		if setMax {
 			e.maxProt &= prot
 			e.prot &= e.maxProt
@@ -387,7 +416,9 @@ func (m *Map) SetInheritance(addr, size uint64, inh Inherit) error {
 	}
 	i, j := m.clipRange(addr, addr+size)
 	for _, e := range m.entries[i:j] {
-		e.inherit = inh
+		if !e.reserved() {
+			e.inherit = inh
+		}
 	}
 	return nil
 }
@@ -398,6 +429,9 @@ func (m *Map) Regions() []RegionInfo {
 	defer m.mu.Unlock()
 	out := make([]RegionInfo, 0, len(m.entries))
 	for _, e := range m.entries {
+		if e.reserved() {
+			continue
+		}
 		ri := RegionInfo{
 			Start: e.start, Size: e.end - e.start,
 			Prot: e.prot, MaxProt: e.maxProt, Inherit: e.inherit,
@@ -494,20 +528,22 @@ func (m *Map) Fork() *Map {
 // vm_copy: no data moves until one side writes (§1, §3.3).
 func (m *Map) CopyRegionTo(dst *Map, srcAddr, size uint64) (uint64, error) {
 	size = m.sys.round(size)
-	if err := func() error {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.checkRange(srcAddr, size)
-	}(); err != nil {
+	if err := m.checkRange(srcAddr, size); err != nil { // bounds only: no lock
 		return 0, err
 	}
 
+	// The destination range is reserved in the hold that finds it: dst
+	// is unlocked while the entries are built under m.mu, and every
+	// out-of-line send on a kernel allocates in the same transit map.
 	dst.mu.Lock()
 	dstAddr, err := dst.findSpace(size)
-	dst.mu.Unlock()
 	if err != nil {
+		dst.mu.Unlock()
 		return 0, err
 	}
+	hold := &Entry{start: dstAddr, end: dstAddr + size, inherit: InheritNone}
+	dst.insertEntry(hold)
+	dst.mu.Unlock()
 
 	var eager []struct{ src, dst, size uint64 }
 
@@ -515,57 +551,71 @@ func (m *Map) CopyRegionTo(dst *Map, srcAddr, size uint64) (uint64, error) {
 	i, j := m.clipRange(srcAddr, srcAddr+size)
 	if !coversRange(m.entries[i:j], srcAddr, srcAddr+size) {
 		m.mu.Unlock()
+		dst.replaceReservation(hold, nil)
 		return 0, ErrInvalidAddress
 	}
 	newEntries := make([]*Entry, 0, j-i)
 	ps := m.sys.PageSize()
 	for _, e := range m.entries[i:j] {
-		delta := e.start - srcAddr
+		at, n := dstAddr+(e.start-srcAddr), e.end-e.start
 		if e.sharing != nil {
-			eager = append(eager, struct{ src, dst, size uint64 }{e.start, dstAddr + delta, e.end - e.start})
+			// A shared region is snapshotted eagerly, into fresh
+			// memory inside the reservation.
+			newEntries = append(newEntries, m.sys.anonymousEntry(at, n))
+			eager = append(eager, struct{ src, dst, size uint64 }{e.start, at, n})
 			continue
 		}
-		ce := &Entry{
-			start: dstAddr + delta, end: dstAddr + delta + (e.end - e.start),
+		newEntries = append(newEntries, &Entry{
+			start: at, end: at + n,
 			prot: e.prot, maxProt: e.maxProt, inherit: e.inherit,
 			object: e.object, offset: e.offset,
 			needsCopy: true,
-		}
+		})
 		m.sys.ObjectRef(e.object)
 		e.needsCopy = true
 		m.sys.mu.Lock()
 		m.pmap.protect(e.start/ps, e.end/ps-1, ProtAll&^ProtWrite)
 		m.sys.mu.Unlock()
-		newEntries = append(newEntries, ce)
 	}
 	m.mu.Unlock()
 
-	dst.mu.Lock()
-	if !dst.rangeFree(dstAddr, dstAddr+size) {
-		dst.mu.Unlock()
+	if !dst.replaceReservation(hold, newEntries) {
 		for _, e := range newEntries {
 			dst.derefTarget(e)
 		}
-		return 0, ErrNoSpace
+		return 0, ErrInvalidAddress
 	}
-	for _, e := range newEntries {
-		dst.insertEntry(e)
-	}
-	dst.mu.Unlock()
 
 	for _, ec := range eager {
-		if _, err := dst.Allocate(ec.dst, ec.size, false); err != nil {
-			return 0, err
-		}
 		buf := make([]byte, ec.size)
-		if err := m.ReadBytes(ec.src, buf); err != nil {
-			return 0, err
+		err := m.ReadBytes(ec.src, buf)
+		if err == nil {
+			err = dst.WriteBytes(ec.dst, buf)
 		}
-		if err := dst.WriteBytes(ec.dst, buf); err != nil {
+		if err != nil {
+			_ = dst.Deallocate(dstAddr, size)
 			return 0, err
 		}
 	}
 	return dstAddr, nil
+}
+
+// replaceReservation takes the reservation hold out of the map and puts
+// entries, which tile its range in address order, in its place (none just
+// releases the range). No operation on the range clips, changes or
+// removes a reservation, so it is found as it was put in; only Destroy
+// takes it away, and then replaceReservation reports false and the entries
+// are still the caller's.
+func (m *Map) replaceReservation(hold *Entry, entries []*Entry) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i, _ := m.entryIndex(hold.start)
+	if i < 0 || m.entries[i] != hold {
+		return false
+	}
+	rest := append(entries[:len(entries):len(entries)], m.entries[i+1:]...)
+	m.entries = append(m.entries[:i], rest...)
+	return true
 }
 
 // Copy copies size bytes from srcAddr to dstAddr within the map
@@ -583,12 +633,11 @@ func (m *Map) Destroy() {
 	m.mu.Lock()
 	entries := m.entries
 	m.entries = nil
-	lo, hi := m.lo, m.hi
-	m.mu.Unlock()
 	ps := m.sys.PageSize()
 	m.sys.mu.Lock()
-	m.pmap.remove(lo/ps, hi/ps-1)
+	m.pmap.remove(m.lo/ps, m.hi/ps-1)
 	m.sys.mu.Unlock()
+	m.mu.Unlock()
 	for _, e := range entries {
 		m.derefTarget(e)
 	}
@@ -597,7 +646,7 @@ func (m *Map) Destroy() {
 func coversRange(entries []*Entry, start, end uint64) bool {
 	at := start
 	for _, e := range entries {
-		if e.start != at {
+		if e.start != at || e.reserved() {
 			return false
 		}
 		at = e.end

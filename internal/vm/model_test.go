@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -338,5 +339,125 @@ func TestProtString(t *testing.T) {
 	}
 	if fmt.Sprint(InheritNone) != "none" {
 		t.Fatal("InheritNone name")
+	}
+}
+
+// TestConcurrentTransitMatchesModel is the concurrent half of the model:
+// goroutines, each with its own task map, move regions through ONE shared
+// transit map the way out-of-line sends do — allocate, write, CopyRegionTo
+// the transit map, CopyRegionTo a receiving map, read back, deallocate.
+// The model is what a correct map cannot violate however the goroutines
+// interleave: live transit ranges never overlap, no copy fails for want
+// of space that is there, and every read returns its goroutine's own last
+// write. Run it at -cpu 2 or more (make stress); on one processor the
+// interleavings that break an unreserved destination do not occur.
+func TestConcurrentTransitMatchesModel(t *testing.T) {
+	const (
+		goroutines = 8
+		iters      = 150
+	)
+	s := NewSystem(Config{Frames: 1024, PageSize: testPageSize})
+	t.Cleanup(s.Shutdown)
+	transit := s.NewMap(mapLo, mapHi)
+
+	// live is the model of the transit map: the ranges in use.
+	type span struct{ lo, hi uint64 }
+	var (
+		liveMu sync.Mutex
+		live   = map[span]int{}
+	)
+	claim := func(g int, r span) error {
+		liveMu.Lock()
+		defer liveMu.Unlock()
+		for o, owner := range live {
+			if r.lo < o.hi && o.lo < r.hi {
+				return fmt.Errorf("transit range %#x-%#x handed out while goroutine %d holds %#x-%#x", r.lo, r.hi, owner, o.lo, o.hi)
+			}
+		}
+		live[r] = g
+		return nil
+	}
+	release := func(r span) {
+		liveMu.Lock()
+		delete(live, r)
+		liveMu.Unlock()
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sender, receiver := s.NewMap(mapLo, mapHi), s.NewMap(mapLo, mapHi)
+			defer sender.Destroy()
+			defer receiver.Destroy()
+			for i := 0; i < iters; i++ {
+				size := uint64(1+(g+i)%4) * testPageSize
+				want := bytes.Repeat([]byte{byte(g), byte(i), byte(i >> 8)}, int(size)/3+1)[:size]
+				fail := func(step string, err error) {
+					t.Errorf("goroutine %d iteration %d: %s: %v", g, i, step, err)
+				}
+				addr, err := sender.Allocate(0, size, true)
+				if err != nil {
+					fail("allocate", err)
+					return
+				}
+				if err := sender.WriteBytes(addr, want); err != nil {
+					fail("write", err)
+					return
+				}
+				at, err := sender.CopyRegionTo(transit, addr, size)
+				if err != nil {
+					fail("copy to transit", err)
+					return
+				}
+				r := span{at, at + size}
+				if err := claim(g, r); err != nil {
+					fail("claim", err)
+					return
+				}
+				if err := sender.Deallocate(addr, size); err != nil {
+					fail("deallocate the source", err)
+					return
+				}
+				got := make([]byte, size)
+				if err := transit.ReadBytes(at, got); err != nil {
+					fail("read in transit", err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					fail("read in transit", fmt.Errorf("byte 0 is %d/%d, want %d/%d", got[0], got[1], want[0], want[1]))
+					return
+				}
+				to, err := transit.CopyRegionTo(receiver, at, size)
+				if err != nil {
+					fail("copy out of transit", err)
+					return
+				}
+				// The model forgets the range before the map does: from
+				// the Deallocate on, the address may be anyone's.
+				release(r)
+				if err := transit.Deallocate(at, size); err != nil {
+					fail("deallocate transit", err)
+					return
+				}
+				if err := receiver.ReadBytes(to, got); err != nil {
+					fail("read at the receiver", err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					fail("read at the receiver", fmt.Errorf("byte 0 is %d/%d, want %d/%d", got[0], got[1], want[0], want[1]))
+					return
+				}
+				if err := receiver.Deallocate(to, size); err != nil {
+					fail("deallocate at the receiver", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(transit.Regions()); n != 0 {
+		t.Fatalf("%d regions left in the transit map", n)
 	}
 }

@@ -19,7 +19,12 @@ type Pager interface {
 	// the first time by this kernel.
 	Init(obj *Object)
 	// DataRequest corresponds to pager_data_request: the kernel needs
-	// [offset, offset+length) with the given access.
+	// the page at offset with the given access, and waits for that
+	// page only. length is at least one page; beyond the first it is a
+	// hint — the absent pages the faulting access goes on to — and
+	// the manager may provide any prefix of [offset, offset+length).
+	// What it reports with DataUnavailable it must know to be empty:
+	// other faults may be waiting for pages inside the hint.
 	DataRequest(obj *Object, offset, length uint64, desired Prot)
 	// DataWrite corresponds to pager_data_write: dirty page contents
 	// are being returned to the data manager.

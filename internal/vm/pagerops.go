@@ -38,16 +38,22 @@ func (s *System) DataProvided(obj *Object, offset uint64, data []byte, lock Prot
 		p := s.hash.lookup(obj, off)
 		switch {
 		case p == nil:
+			// Nobody is waiting for this page, but until it has a frame
+			// it is in transition like one that was asked for:
+			// allocFrameLocked may drop the lock, and a fault that found
+			// the page unmarked would map the frame it does not have.
 			p = s.pageInsert(obj, off)
+			p.busy, p.absent = true, true
 		case p.absent:
 			// Expected: the fault handler is waiting on this page.
 		default:
 			// Already cached and valid: the kernel keeps its copy.
 			continue
 		}
-		f := s.allocFrameLocked(false)
-		s.assignFrameLocked(p, f)
-		copy(s.frames.Bytes(f), chunk)
+		if !s.frameAbsentLocked(p) {
+			continue
+		}
+		copy(s.frames.Bytes(p.frame), chunk)
 		p.busy = false
 		p.absent = false
 		p.dirty = false
@@ -60,8 +66,27 @@ func (s *System) DataProvided(obj *Object, offset uint64, data []byte, lock Prot
 	s.cond.Broadcast()
 }
 
+// frameAbsentLocked gives the absent page p the frame its data goes into.
+// allocFrameLocked may drop the lock, so p can be settled meanwhile
+// without this data — filled by another answer or by its fault's timeout,
+// or failed and freed by its faulter; frameAbsentLocked then reports
+// false and p is left alone.
+func (s *System) frameAbsentLocked(p *Page) bool {
+	obj, off := p.object, p.offset
+	f := s.allocFrameLocked(false)
+	if s.hash.lookup(obj, off) != p || !p.absent {
+		s.frames.Free(f)
+		return false
+	}
+	s.assignFrameLocked(p, f)
+	return true
+}
+
 // DataUnavailable notifies the kernel that no data exists for a region of
-// a memory object (pager_data_unavailable): the pages are zero-filled.
+// a memory object (pager_data_unavailable): every page of it that a fault
+// is waiting for is zero-filled. The manager vouches for each page it
+// names — a page it does hold, named here while another fault waits for
+// it, reads as zeroes.
 func (s *System) DataUnavailable(obj *Object, offset, size uint64) {
 	ps := s.PageSize()
 	offset = s.trunc(offset)
@@ -73,9 +98,10 @@ func (s *System) DataUnavailable(obj *Object, offset, size uint64) {
 		if p == nil || !p.absent {
 			continue
 		}
-		f := s.allocFrameLocked(false)
-		s.assignFrameLocked(p, f)
-		s.frames.Zero(f)
+		if !s.frameAbsentLocked(p) {
+			continue
+		}
+		s.frames.Zero(p.frame)
 		p.busy = false
 		p.absent = false
 		p.lock = ProtNone

@@ -24,6 +24,7 @@ type fakePager struct {
 	mu          sync.Mutex
 	backing     map[uint64][]byte
 	requests    []uint64
+	lengths     []uint64 // the length of each request, beside requests
 	writes      []uint64
 	unlocks     []uint64
 	inits       int
@@ -32,6 +33,7 @@ type fakePager struct {
 	unavailable bool // answer DataUnavailable instead of providing
 	silent      bool // never answer (errant manager)
 	grantUnlock bool // answer DataUnlock by clearing the lock
+	ranged      bool // answer the whole range it holds, not just the first page
 }
 
 func newFakePager(sys *System) *fakePager {
@@ -57,15 +59,22 @@ func (f *fakePager) Init(obj *Object) {
 func (f *fakePager) DataRequest(obj *Object, offset, length uint64, desired Prot) {
 	f.mu.Lock()
 	f.requests = append(f.requests, offset)
+	f.lengths = append(f.lengths, length)
 	silent, unavailable := f.silent, f.unavailable
 	data, have := f.backing[offset]
+	if f.ranged {
+		data = nil
+		for off := offset; off < offset+length && f.backing[off] != nil; off += testPageSize {
+			data = append(data, f.backing[off]...)
+		}
+	}
 	lock := f.lockValue
 	f.mu.Unlock()
 	if silent {
 		return
 	}
 	if unavailable || !have {
-		f.sys.DataUnavailable(obj, offset, length)
+		f.sys.DataUnavailable(obj, offset, testPageSize)
 		return
 	}
 	f.sys.DataProvided(obj, offset, data, lock)
@@ -416,6 +425,120 @@ func TestCopyRegionToIsLazy(t *testing.T) {
 	dst.ReadBytes(dstAddr+testPageSize, db)
 	if db[0] != 0x5A {
 		t.Fatal("source write leaked into copy")
+	}
+}
+
+// A region shared through a sharing map is snapshotted eagerly, beside a
+// private region copied lazily, in one contiguous destination range.
+func TestCopyRegionToSnapshotsSharedRegion(t *testing.T) {
+	s := newTestSystem(t)
+	src := s.NewMap(mapLo, mapHi)
+	addr, _ := src.Allocate(0, 2*testPageSize, true)
+	if err := src.SetInheritance(addr, testPageSize, InheritShare); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.WriteBytes(addr, bytes.Repeat([]byte{7}, 2*testPageSize)); err != nil {
+		t.Fatal(err)
+	}
+	sharer := src.Fork() // the first page now sits behind a sharing map
+	dst := s.NewMap(mapLo, mapHi)
+	at, err := src.CopyRegionTo(dst, addr, 2*testPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sharer.WriteBytes(addr, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.WriteBytes(addr+testPageSize, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 2*testPageSize)
+	if err := dst.ReadBytes(at, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte{7}, 2*testPageSize)) {
+		t.Fatalf("copy holds %d and %d, want the snapshot (7)", got[0], got[testPageSize])
+	}
+	if regions := dst.Regions(); len(regions) != 2 || regions[0].Start != at || regions[1].Start != at+testPageSize {
+		t.Fatalf("destination regions %+v", regions)
+	}
+}
+
+// The range CopyRegionTo reserves in the destination is its own until it
+// is done: vm_deallocate, vm_protect and vm_inherit over part of it find
+// no memory there, and leave the reservation whole, so the copy lands and
+// nothing of the reservation is left behind.
+func TestCopyRegionToReservationSurvivesRangeOperations(t *testing.T) {
+	s := newTestSystem(t)
+	src, dst := s.NewMap(mapLo, mapHi), s.NewMap(mapLo, mapHi)
+	const size = 4 * testPageSize
+	addr, _ := src.Allocate(0, size, true)
+	want := bytes.Repeat([]byte{5}, size)
+	if err := src.WriteBytes(addr, want); err != nil {
+		t.Fatal(err)
+	}
+
+	// CopyRegionTo reserves in dst, then needs src.mu: hold it there.
+	src.mu.Lock()
+	type result struct {
+		at  uint64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		at, err := src.CopyRegionTo(dst, addr, size)
+		done <- result{at, err}
+	}()
+	var hold *Entry
+	for deadline := time.Now().Add(5 * time.Second); hold == nil; {
+		dst.mu.Lock()
+		if len(dst.entries) == 1 && dst.entries[0].reserved() {
+			hold = dst.entries[0]
+		}
+		dst.mu.Unlock()
+		if hold == nil {
+			if time.Now().After(deadline) {
+				src.mu.Unlock()
+				t.Fatal("no reservation appeared in the destination")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	at := hold.start
+	if err := dst.Fault(at, ProtRead); err != ErrInvalidAddress {
+		t.Errorf("fault on the reservation: %v, want ErrInvalidAddress", err)
+	}
+	if err := dst.Deallocate(at+size/2, size); err != nil {
+		t.Errorf("deallocate over the second half: %v", err)
+	}
+	if err := dst.Protect(at, size/2, false, ProtRead); err != nil {
+		t.Errorf("protect over the first half: %v", err)
+	}
+	if err := dst.SetInheritance(at+testPageSize, testPageSize, InheritShare); err != nil {
+		t.Errorf("inherit over one page: %v", err)
+	}
+	if got, err := dst.Allocate(0, testPageSize, true); err != nil || got < at+size {
+		t.Errorf("allocate beside the reservation: %#x, %v; the reserved range is %#x-%#x", got, err, at, at+size)
+	}
+	src.mu.Unlock()
+
+	r := <-done
+	if r.err != nil || r.at != at {
+		t.Fatalf("copy: %#x, %v; want the reserved range at %#x", r.at, r.err, at)
+	}
+	got := make([]byte, size)
+	if err := dst.ReadBytes(at, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read of the copy: %v", err)
+	}
+	dst.mu.Lock()
+	defer dst.mu.Unlock()
+	for _, e := range dst.entries {
+		if e.reserved() {
+			t.Fatalf("reserved entry %#x-%#x left in the map", e.start, e.end)
+		}
+		if e.start < at+size && e.end > at && (e.prot != ProtDefault || e.inherit != InheritCopy) {
+			t.Fatalf("entry %#x-%#x of the copy has prot %v inherit %v", e.start, e.end, e.prot, e.inherit)
+		}
 	}
 }
 
