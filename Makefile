@@ -50,13 +50,16 @@ race:
 	$(GO) test -race -cpu 1,2 ./...
 	$(GO) test -race -count=2 -run 'TestPortSetChurnStress|TestReceiveAnyVsSetNoDoubleDelivery' ./internal/ipc
 
-# stress repeats the two tests that find address-map interleaving bugs —
-# cross-host out-of-line transfers through the shared transit map, and
-# the concurrent vm model — on one, two and four processors. A cold
-# first iteration often passes where the tenth does not.
+# stress repeats the tests that find interleaving bugs — cross-host
+# out-of-line transfers through the shared transit map, the concurrent
+# vm model, and the camelot commit path with an fsync held (a commit
+# overlapping another client's appends; Close with a commit in flight)
+# — on one, two and four processors. A cold first iteration often
+# passes where the tenth does not.
 stress:
 	$(GO) test -run 'TestCrossHostStress' -cpu 1,2,4 -count=20 ./internal/netmsg
 	$(GO) test -run 'TestConcurrentTransitMatchesModel' -cpu 1,2,4 -count=20 ./internal/vm
+	$(GO) test -run 'TestDurableCommitOverlapsHeldFsync|TestDurableCloseAnswersHeldCommit' -cpu 1,2,4 -count=20 ./internal/camelot
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecode -fuzztime=5s ./internal/rpc

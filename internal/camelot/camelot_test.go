@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/kern"
 	"repro/internal/machine"
+	"repro/internal/rpc"
 )
 
 const pgsz = 256
@@ -216,6 +217,11 @@ func TestRecoveryIdempotent(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatal("recovery not idempotent")
 	}
+}
+
+// encodeRecord encodes one record into a log block: a run of one.
+func encodeRecord(r *record, blockSize int) []byte {
+	return encodeRun([]record{*r}, blockSize, new(rpc.Enc))
 }
 
 func TestLogRecordCodecRoundTrip(t *testing.T) {

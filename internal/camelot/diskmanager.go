@@ -88,10 +88,18 @@ type DiskManager struct {
 	buffer    []record // records past forcedLSN
 	nextLSN   uint64
 	forcedLSN uint64
+	enc       rpc.Enc // forceLog's record encoder
 	// pageLSN[seg<<32|page] is the highest LSN that touched the page.
 	pageLSN map[uint64]uint64
-	// committed/aborted known outcomes (volatile; rebuilt at recovery).
-	outcomes map[uint64]recordKind
+
+	// The commit queue (see commitLoop), in LSN order. Stop sets closing
+	// once the service loop has exited; from then on nothing is queued.
+	commits       []pendingCommit
+	closing       bool
+	wake          chan struct{} // 1-buffered: the queue or closing changed
+	committerDone chan struct{}
+	loopDone      chan struct{} // closed when Run returns; nil before Run
+	stopOnce      sync.Once
 
 	stats Stats
 
@@ -114,15 +122,16 @@ func newManager(k *kern.Kernel, dataDisk pager.BlockStore, wal *WAL) (*DiskManag
 		return nil, errors.New("camelot: data disk block size must equal page size")
 	}
 	dm := &DiskManager{
-		kernel:   k,
-		task:     k.NewTask(),
-		dataDisk: dataDisk,
-		wal:      wal,
-		segments: make(map[string]*segment),
-		bySegID:  make(map[uint32]*segment),
-		byObject: make(map[ipc.Name]*segment),
-		pageLSN:  make(map[uint64]uint64),
-		outcomes: make(map[uint64]recordKind),
+		kernel:        k,
+		task:          k.NewTask(),
+		dataDisk:      dataDisk,
+		wal:           wal,
+		segments:      make(map[string]*segment),
+		bySegID:       make(map[uint32]*segment),
+		byObject:      make(map[ipc.Name]*segment),
+		pageLSN:       make(map[uint64]uint64),
+		wake:          make(chan struct{}, 1),
+		committerDone: make(chan struct{}),
 	}
 	dm.mgr = pager.NewManager(dm.task.Space, (*dmHandler)(dm))
 	// Segment object ports, the notify port and the service port share
@@ -144,14 +153,44 @@ func newManager(k *kern.Kernel, dataDisk pager.BlockStore, wal *WAL) (*DiskManag
 	if err := dm.mgr.Adopt(srv.Port); err != nil {
 		return nil, err
 	}
+	go dm.commitLoop()
 	return dm, nil
 }
 
-// Run starts the manager loop.
-func (dm *DiskManager) Run() { dm.mgr.Run() }
+// Run serves the manager loop until Stop.
+func (dm *DiskManager) Run() {
+	done := make(chan struct{})
+	defer close(done)
+	dm.mu.Lock()
+	dm.loopDone = done
+	dm.mu.Unlock()
+	dm.mgr.Run()
+}
 
-// Stop terminates the manager task.
-func (dm *DiskManager) Stop() { dm.mgr.Stop() }
+// Stop terminates the manager task, in an order that answers every
+// commit truthfully: the service loop stops; the manager is marked
+// closing, so no commit is queued after it; the committer answers what
+// is queued and exits; only then does the task's space — which holds
+// those commits' reply ports — die. Later calls do nothing.
+func (dm *DiskManager) Stop() {
+	dm.stopOnce.Do(func() {
+		dm.mgr.Quiesce()
+		dm.mu.Lock()
+		loop := dm.loopDone
+		dm.mu.Unlock()
+		// A Run not yet registered finds the loop quiesced and returns
+		// at once, so there is nothing to wait for.
+		if loop != nil {
+			<-loop
+		}
+		dm.mu.Lock()
+		dm.closing = true
+		dm.mu.Unlock()
+		dm.kick()
+		<-dm.committerDone
+		dm.mgr.Stop()
+	})
+}
 
 // Stats returns a snapshot of activity counters.
 func (dm *DiskManager) Stats() Stats {
@@ -190,23 +229,87 @@ func (dm *DiskManager) appendRecord(r record) uint64 {
 	return r.lsn
 }
 
-// forceLog writes buffered records through lsn to the log device. Lock
-// held. Log block b holds the record with LSN b+1. On a durable
-// manager this only SUBMITS the record writes (forcedLSN means
+// forceLog writes buffered records through lsn to the log device, as one
+// run. Lock held. Log block b holds the record with LSN b+1. On a
+// durable manager this only SUBMITS the write (forcedLSN means
 // "written"); callers needing stable storage follow up with
-// dm.wal.Force(lsn) OUTSIDE the lock, so concurrent committers can
+// dm.wal.Force(lsn) OUTSIDE the lock, so concurrent forces can
 // group-commit onto a shared fsync.
 func (dm *DiskManager) forceLog(lsn uint64) {
 	if lsn <= dm.forcedLSN {
 		return
 	}
 	dm.stats.LogForces++
-	for len(dm.buffer) > 0 && dm.buffer[0].lsn <= lsn {
-		r := dm.buffer[0]
-		dm.buffer = dm.buffer[1:]
-		dm.wal.Append(r.lsn, encodeRecord(&r, dm.wal.BlockSize()))
-		dm.forcedLSN = r.lsn
+	n := 0
+	for n < len(dm.buffer) && dm.buffer[n].lsn <= lsn {
+		n++
 	}
+	if n == 0 {
+		return
+	}
+	run := dm.buffer[:n]
+	dm.wal.AppendRun(run[0].lsn, n, encodeRun(run, dm.wal.BlockSize(), &dm.enc))
+	dm.forcedLSN = run[n-1].lsn
+	// The written records' payloads are garbage now; a drained buffer
+	// starts over in the same array.
+	clear(run)
+	if n == len(dm.buffer) {
+		dm.buffer = dm.buffer[:0]
+	} else {
+		dm.buffer = dm.buffer[n:]
+	}
+}
+
+// pendingCommit is a commit whose records are submitted and whose reply
+// waits for the committer's force.
+type pendingCommit struct {
+	lsn   uint64
+	reply rpc.Deferred
+}
+
+// kick wakes the committer; a wake already pending covers this one.
+func (dm *DiskManager) kick() {
+	select {
+	case dm.wake <- struct{}{}:
+	default:
+	}
+}
+
+// commitLoop is the committer goroutine. It takes the whole commit
+// queue, forces the log once through the newest commit in it, and
+// answers every commit in LSN order. It exits once Stop has marked the
+// manager closing and the last queue is answered.
+func (dm *DiskManager) commitLoop() {
+	defer close(dm.committerDone)
+	var batch []pendingCommit
+	for range dm.wake {
+		dm.mu.Lock()
+		batch, dm.commits = dm.commits, batch[:0]
+		closing := dm.closing
+		dm.mu.Unlock()
+		if n := len(batch); n > 0 {
+			st := rpc.StatusOf(dm.awaitDurable(batch[n-1].lsn, n))
+			for i := range batch {
+				batch[i].reply.Reply(st)
+			}
+		}
+		if closing {
+			return
+		}
+	}
+}
+
+// awaitDurable waits until the log is on stable storage through lsn,
+// the newest of n commits. A log-device failure fails all n — the
+// clients hear it instead of a silent loss — and uncounts them.
+func (dm *DiskManager) awaitDurable(lsn uint64, n int) error {
+	if err := dm.wal.Force(lsn); err != nil {
+		dm.mu.Lock()
+		dm.stats.Commits -= int64(n)
+		dm.mu.Unlock()
+		return rpc.Errf(rpc.StatusServerErr, "camelot: log force: %v", err)
+	}
+	return nil
 }
 
 // --- pager interface --------------------------------------------------------
@@ -387,41 +490,36 @@ func (h *dmService) LogAppend(m *ipc.Message, in *LogAppendRequest) error {
 	return nil
 }
 
-// TxCommit logs a commit and forces the log through it (permanence).
+// TxCommit logs a commit and submits the log write through it; the
+// reply is sent only once the commit record is on stable storage
+// (permanence). On the service loop that wait is the committer's: the
+// reply is deferred and the loop goes on serving. A batched commit
+// answers inside its container's reply, so it waits here.
 func (h *dmService) TxCommit(m *ipc.Message, in *TxCommitRequest) error {
-	return (*DiskManager)(h).logOutcome(in.Tx, recCommit)
+	dm := (*DiskManager)(h)
+	dm.mu.Lock()
+	lsn := dm.appendRecord(record{tx: in.Tx, kind: recCommit})
+	dm.forceLog(lsn)
+	dm.stats.Commits++
+	if !dm.closing {
+		if reply, ok := dm.rpc.Defer(m); ok {
+			dm.commits = append(dm.commits, pendingCommit{lsn: lsn, reply: reply})
+			dm.mu.Unlock()
+			dm.kick()
+			return nil
+		}
+	}
+	dm.mu.Unlock()
+	return dm.awaitDurable(lsn, 1)
 }
 
 // TxAbort records an abort.
 func (h *dmService) TxAbort(m *ipc.Message, in *TxAbortRequest) error {
-	return (*DiskManager)(h).logOutcome(in.Tx, recAbort)
-}
-
-// logOutcome logs commit/abort; commit also forces the log
-// (permanence). The durability barrier runs OUTSIDE the manager lock —
-// the reply is sent only once the commit record is on stable storage,
-// and a log-device failure surfaces to the client as a failed commit
-// instead of a silent loss.
-func (dm *DiskManager) logOutcome(tx uint64, kind recordKind) error {
+	dm := (*DiskManager)(h)
 	dm.mu.Lock()
-	lsn := dm.appendRecord(record{tx: tx, kind: kind})
-	dm.outcomes[tx] = kind
-	if kind == recCommit {
-		dm.forceLog(lsn)
-		dm.stats.Commits++
-	} else {
-		dm.stats.Aborts++
-	}
+	dm.appendRecord(record{tx: in.Tx, kind: recAbort})
+	dm.stats.Aborts++
 	dm.mu.Unlock()
-	if kind == recCommit {
-		if err := dm.wal.Force(lsn); err != nil {
-			dm.mu.Lock()
-			delete(dm.outcomes, tx)
-			dm.stats.Commits--
-			dm.mu.Unlock()
-			return rpc.Errf(rpc.StatusServerErr, "camelot: log force: %v", err)
-		}
-	}
 	return nil
 }
 
@@ -447,16 +545,14 @@ func (dm *DiskManager) reapSegment(n ipc.Name) {
 
 // --- crash and recovery -------------------------------------------------------
 
-// Crash simulates a system failure: the volatile log buffer, page LSN
-// table and transaction outcomes are lost; only the two disks survive.
-// The manager stops serving (its kernels' cached pages are considered
-// lost with it).
+// Crash simulates a system failure: the volatile log buffer and page
+// LSN table are lost; only the two disks survive. The manager stops
+// serving (its kernels' cached pages are considered lost with it).
 func (dm *DiskManager) Crash() {
 	dm.mu.Lock()
 	dm.buffer = nil
 	dm.nextLSN = dm.forcedLSN
 	dm.pageLSN = make(map[uint64]uint64)
-	dm.outcomes = make(map[uint64]recordKind)
 	dm.mu.Unlock()
 }
 

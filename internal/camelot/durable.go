@@ -45,8 +45,9 @@ const catalogMagic = 0xCA7A106D
 // segment table, the log is scanned to its durable tail, and replay
 // reconstructs exactly the committed state at the crash — uncommitted
 // transactions roll back. Commits reply only after the commit record
-// is fsynced (group-committed across concurrent committers), so what a
-// client was told is permanent survives pulling the plug.
+// is fsynced (by the committer goroutine, group-committed across the
+// commits queued behind an fsync in flight), so what a client was told
+// is permanent survives pulling the plug.
 func NewDurableDiskManager(k *kern.Kernel, dir string, o DurableOptions) (*DiskManager, error) {
 	if o.DataBlocks <= 0 {
 		o.DataBlocks = 1024
@@ -122,10 +123,11 @@ func (w *WAL) reopen(lsn uint64) {
 	w.mu.Unlock()
 }
 
-// Close releases a durable manager's files WITHOUT flushing cached
-// pages — deliberately crash-consistent: recovery replays the log, so
-// a clean shutdown needs no checkpoint. (For a simulated manager it
-// just stops the service loop.)
+// Close stops the manager (Stop answers every queued commit first) and
+// only then releases a durable manager's files, so no commit is failed
+// by a log closed under its force. Cached pages are NOT flushed —
+// deliberately crash-consistent: recovery replays the log, so a clean
+// shutdown needs no checkpoint. (For a simulated manager it is Stop.)
 func (dm *DiskManager) Close() error {
 	dm.Stop()
 	if dm.durable == nil {

@@ -1,15 +1,20 @@
 package camelot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/iomgr"
 	"repro/internal/kern"
 	"repro/internal/pager"
+	"repro/internal/rpc"
 )
 
 // newDurable boots a kernel plus a durable disk manager over dir.
@@ -146,9 +151,10 @@ func TestDurableCommitFailsWhenLogDies(t *testing.T) {
 	if err := tx1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the next log write: tx2's update record never reaches the
-	// file, so its commit cannot be made durable.
-	dm1.wal.File().InjectFault(iomgr.OpWrite, 1, errors.New("injected: log device died"))
+	// Kill the next log write: tx2's records — its update and its
+	// commit, written as one run at commit — never reach the file, so
+	// its commit cannot be made durable.
+	dm1.wal.File().InjectFault(iomgr.OpWrite, 0, errors.New("injected: log device died"))
 	tx2 := c1.Begin()
 	if err := tx2.Write(seg, 8, []byte("LOST")); err != nil {
 		t.Fatal(err)
@@ -174,6 +180,381 @@ func TestDurableCommitFailsWhenLogDies(t *testing.T) {
 		if data[i] != 0 {
 			t.Fatalf("failed commit's data recovered anyway: %q", data[8:12])
 		}
+	}
+}
+
+// TestDurableCommitFailsWhenFsyncFails is the variant where the log
+// write lands but its fsync fails. The commit fails, and the log stays
+// dead: a later commit fails too rather than being acknowledged behind
+// a record of unknown fate. The failed transaction's records did reach
+// the file, so recovery may find them — its outcome is in doubt, as
+// after any failed fsync — but it is atomic either way, and the commit
+// acknowledged before the failure survives.
+func TestDurableCommitFailsWhenFsyncFails(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{DataBlocks: 64, LogBlocks: 256, LogBlockSize: pgsz}
+	k1, dm1, c1 := newDurable(t, dir, opts)
+	defer k1.Shutdown()
+
+	if err := c1.CreateSegment("s", 2*pgsz); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := c1.Attach("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx1 := c1.Begin()
+	if err := tx1.Write(seg, 0, []byte("SAFE")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	dm1.wal.File().InjectFault(iomgr.OpFsync, 0, errors.New("injected: fsync failed"))
+	tx2 := c1.Begin()
+	if err := tx2.Write(seg, 8, []byte("LOST")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Write(seg, pgsz+8, []byte("GONE")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Commit(); err == nil {
+		t.Fatal("commit succeeded although its fsync failed")
+	}
+	dm1.wal.File().InjectFault(iomgr.OpFsync, 0, nil)
+	tx3 := c1.Begin()
+	if err := tx3.Write(seg, 16, []byte("LATE")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx3.Commit(); err == nil {
+		t.Fatal("commit acknowledged on a log whose fsync failed")
+	}
+	if got := dm1.Stats().Commits; got != 1 {
+		t.Fatalf("Stats.Commits = %d, want 1 (failed commits uncounted)", got)
+	}
+	if err := dm1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	k2, dm2, _ := newDurable(t, dir, opts)
+	defer dm2.Close()
+	defer k2.Shutdown()
+	data, err := dm2.SegmentBytes("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data[0:4]) != "SAFE" {
+		t.Fatalf("committed tx1 lost: %q", data[0:4])
+	}
+	first, second := string(data[8:12]), string(data[pgsz+8:pgsz+12])
+	if (first == "LOST") != (second == "GONE") {
+		t.Fatalf("tx2 recovered torn: %q / %q", first, second)
+	}
+}
+
+// holdFsync holds the completion of the log's next fsync: held closes
+// once the fsync has run, and its waiter is released by release.
+func holdFsync(dm *DiskManager) (held <-chan struct{}, release func()) {
+	h, r := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	armed.Store(true)
+	dm.wal.File().SetObserver(func(op *iomgr.Op) {
+		if op.Kind == iomgr.OpFsync && armed.CompareAndSwap(true, false) {
+			close(h)
+			<-r
+		}
+	})
+	return h, sync.OnceFunc(func() { close(r) })
+}
+
+// TestDurableCommitOverlapsHeldFsync: the log force is off the service
+// loop. While client A's commit waits on its fsync, client B's LogAppend
+// is served and A's Commit has not returned; once the fsync completes,
+// both commits are acknowledged and both survive a reopen.
+func TestDurableCommitOverlapsHeldFsync(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{DataBlocks: 64, LogBlocks: 256, LogBlockSize: pgsz}
+	k, dm, a := newDurable(t, dir, opts)
+	defer k.Shutdown()
+	if err := a.CreateSegment("s", pgsz); err != nil {
+		t.Fatal(err)
+	}
+	segA, err := a.Attach("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	taskB := k.NewTask()
+	svc, err := dm.Publish(taskB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := Open(taskB, svc)
+	segB, err := b.Attach("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held, release := holdFsync(dm)
+	defer release()
+	txA := a.Begin()
+	if err := txA.Write(segA, 0, []byte("AAAA")); err != nil {
+		t.Fatal(err)
+	}
+	commitA := make(chan error, 1)
+	go func() { commitA <- txA.Commit() }()
+	<-held
+
+	txB := b.Begin()
+	if err := txB.Write(segB, 16, []byte("BBBB")); err != nil {
+		t.Fatalf("B's LogAppend while A's fsync is held: %v", err)
+	}
+	select {
+	case err := <-commitA:
+		t.Fatalf("A's commit returned (%v) while its fsync was held", err)
+	default:
+	}
+	commitB := make(chan error, 1)
+	go func() { commitB <- txB.Commit() }()
+	release()
+	if err := <-commitA; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-commitB; err != nil {
+		t.Fatal(err)
+	}
+	if err := dm.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	k2, dm2, _ := newDurable(t, dir, opts)
+	defer dm2.Close()
+	defer k2.Shutdown()
+	data, err := dm2.SegmentBytes("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data[0:4]) != "AAAA" || string(data[16:20]) != "BBBB" {
+		t.Fatalf("recovered %q and %q, want AAAA and BBBB", data[0:4], data[16:20])
+	}
+}
+
+// TestDurableCloseAnswersHeldCommit: Close while a commit waits on its
+// fsync. Close stops the service loop, then waits for the committer, so
+// the commit is answered from its completed force — not failed by a log
+// closed under it — and the reopened disk agrees with the answer. After
+// Close the committer has exited.
+func TestDurableCloseAnswersHeldCommit(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{DataBlocks: 64, LogBlocks: 256, LogBlockSize: pgsz}
+	k, dm, c := newDurable(t, dir, opts)
+	defer k.Shutdown()
+	if err := c.CreateSegment("s", pgsz); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := c.Attach("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held, release := holdFsync(dm)
+	defer release()
+	tx := c.Begin()
+	if err := tx.Write(seg, 0, []byte("HELD")); err != nil {
+		t.Fatal(err)
+	}
+	commit := make(chan error, 1)
+	go func() { commit <- tx.Commit() }()
+	<-held
+	closed := make(chan error, 1)
+	go func() { closed <- dm.Close() }()
+	dm.mu.Lock()
+	loop := dm.loopDone
+	dm.mu.Unlock()
+	<-loop
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a commit was held in fsync", err)
+	default:
+	}
+	release()
+	if err := <-commit; err != nil {
+		t.Fatalf("held commit answered %v although its fsync completed", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-dm.committerDone:
+	default:
+		t.Fatal("committer still running after Close")
+	}
+
+	k2, dm2, _ := newDurable(t, dir, opts)
+	defer dm2.Close()
+	defer k2.Shutdown()
+	data, err := dm2.SegmentBytes("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data[0:4]) != "HELD" {
+		t.Fatalf("acknowledged commit not recovered: %q", data[0:4])
+	}
+}
+
+// TestDurableBatchedCommit: a LogAppend and a TxCommit pipelined in one
+// rpc.Batch. The batched commit cannot defer its reply, so it forces the
+// log inline and answers inside the container reply — durably: the
+// update is recovered after a reopen.
+func TestDurableBatchedCommit(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{DataBlocks: 64, LogBlocks: 256, LogBlockSize: pgsz}
+	k, dm, c := newDurable(t, dir, opts)
+	defer k.Shutdown()
+	if err := c.CreateSegment("s", pgsz); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := c.Attach("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := txIDs.Add(1)
+	b := c.c.RPC().NewBatch()
+	appendCall := c.c.LogAppendBatch(b, &LogAppendRequest{Tx: tx, Seg: seg.ID, Offset: 4, Old: make([]byte, 5), New: []byte("BATCH")})
+	commitCall := c.c.TxCommitBatch(b, &TxCommitRequest{Tx: tx})
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := appendCall.Result(); err != nil || st != rpc.StatusOK {
+		t.Fatalf("batched LogAppend: %v %v", st, err)
+	}
+	if st, err := commitCall.Result(); err != nil || st != rpc.StatusOK {
+		t.Fatalf("batched TxCommit: %v %v", st, err)
+	}
+	if err := dm.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	k2, dm2, _ := newDurable(t, dir, opts)
+	defer dm2.Close()
+	defer k2.Shutdown()
+	data, err := dm2.SegmentBytes("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data[4:9]) != "BATCH" {
+		t.Fatalf("batched commit not recovered: %q", data[4:9])
+	}
+}
+
+// parentSlot lays out one log record exactly as the format has always
+// stored it, written out independently of log.go: magic 0xC4, kind
+// (1 update, 2 commit, 3 abort), lsn, tx, seg, offset, then old and new
+// each behind a u32 length — all little-endian — zero-padded to the
+// slot.
+func parentSlot(bs int, kind byte, lsn, tx uint64, seg uint32, off uint64, old, new []byte) []byte {
+	b := append(make([]byte, 0, bs), 0xC4, kind)
+	b = binary.LittleEndian.AppendUint64(b, lsn)
+	b = binary.LittleEndian.AppendUint64(b, tx)
+	b = binary.LittleEndian.AppendUint32(b, seg)
+	b = binary.LittleEndian.AppendUint64(b, off)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(old)))
+	b = append(b, old...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(new)))
+	b = append(b, new...)
+	return append(b, make([]byte, bs-len(b))...)
+}
+
+// TestDurableParentFormatLog: a log laid out slot by slot in the
+// record-per-write format reopens and recovers byte-identically — one
+// write per run changed how records reach the file, not what the file
+// holds — and every slot the run writer adds afterwards is exactly that
+// layout.
+func TestDurableParentFormatLog(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{DataBlocks: 64, LogBlocks: 256, LogBlockSize: pgsz}
+	k1, dm1, c1 := newDurable(t, dir, opts)
+	defer k1.Shutdown()
+	if err := c1.CreateSegment("s", 2*pgsz); err != nil {
+		t.Fatal(err)
+	}
+	dm1.mu.Lock()
+	id := dm1.segments["s"].id
+	dm1.mu.Unlock()
+	if err := dm1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// tx 1 commits, tx 2 is a loser, tx 3 commits across a page edge.
+	var log []byte
+	for _, s := range [][]byte{
+		parentSlot(pgsz, 1, 1, 1, id, 0, make([]byte, 4), []byte("PREV")),
+		parentSlot(pgsz, 1, 2, 2, id, 8, make([]byte, 4), []byte("LOSE")),
+		parentSlot(pgsz, 2, 3, 1, id, 0, nil, nil),
+		parentSlot(pgsz, 1, 4, 3, id, pgsz-2, make([]byte, 4), []byte("EDGE")),
+		parentSlot(pgsz, 2, 5, 3, id, 0, nil, nil),
+	} {
+		log = append(log, s...)
+	}
+	walPath := filepath.Join(dir, "wal.log")
+	if err := os.WriteFile(walPath, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 2*pgsz)
+	copy(want[0:], "PREV")
+	copy(want[pgsz-2:], "EDGE")
+
+	k2, dm2, c2 := newDurable(t, dir, opts)
+	defer k2.Shutdown()
+	got, err := dm2.SegmentBytes("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("recovered segment differs from the log's committed state")
+	}
+	seg, err := c2.Attach("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := c2.Begin()
+	if err := tx.Write(seg, 32, []byte("NEW1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write(seg, pgsz+32, []byte("NEW2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dm2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != 8*pgsz || !bytes.Equal(raw[:len(log)], log) {
+		t.Fatalf("log is %d bytes, want the 5 old slots unchanged plus 3 new", len(raw))
+	}
+	newSlots := [][]byte{
+		parentSlot(pgsz, 1, 6, tx.ID, id, 32, make([]byte, 4), []byte("NEW1")),
+		parentSlot(pgsz, 1, 7, tx.ID, id, pgsz+32, make([]byte, 4), []byte("NEW2")),
+		parentSlot(pgsz, 2, 8, tx.ID, 0, 0, nil, nil),
+	}
+	for i, s := range newSlots {
+		if slot := raw[(5+i)*pgsz : (6+i)*pgsz]; !bytes.Equal(slot, s) {
+			t.Fatalf("slot of LSN %d is not in the record-per-slot layout", 6+i)
+		}
+	}
+
+	k3, dm3, _ := newDurable(t, dir, opts)
+	defer dm3.Close()
+	defer k3.Shutdown()
+	copy(want[32:], "NEW1")
+	copy(want[pgsz+32:], "NEW2")
+	if got, err := dm3.SegmentBytes("s"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("second reopen: %v, or segment differs", err)
 	}
 }
 

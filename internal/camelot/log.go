@@ -47,17 +47,22 @@ type record struct {
 // prefixes of the old and new byte fields.
 const recHeaderLen = 38
 
-// encodeRecord serializes a record into a log block of size blockSize.
-// Records must fit one block (enforced by MaxUpdate).
-func encodeRecord(r *record, blockSize int) []byte {
-	p := rpc.NewEnc().
-		U8(logMagic).U8(byte(r.kind)).
-		U64(r.lsn).U64(r.tx).U32(r.seg).U64(r.offset).
-		Bytes(r.old).Bytes(r.new).
-		Payload()
-	b := make([]byte, blockSize)
-	copy(b, p)
-	return b
+// encodeRun serializes records into consecutive log blocks of blockSize
+// bytes, zero-padded: one buffer for one device write. e is scratch
+// space for the encoder. Records must fit one block (enforced by
+// MaxUpdate).
+func encodeRun(recs []record, blockSize int, e *rpc.Enc) []byte {
+	buf := make([]byte, len(recs)*blockSize)
+	for i := range recs {
+		r := &recs[i]
+		p := e.Reset().
+			U8(logMagic).U8(byte(r.kind)).
+			U64(r.lsn).U64(r.tx).U32(r.seg).U64(r.offset).
+			Bytes(r.old).Bytes(r.new).
+			Payload()
+		copy(buf[i*blockSize:], p)
+	}
+	return buf
 }
 
 // decodeRecord parses a log block; ok is false for unwritten or

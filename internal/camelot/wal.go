@@ -16,12 +16,19 @@ import (
 //   - a simulated machine.Disk (NewSimWAL), where Write is already
 //     "durable" — the historical behaviour of the package, used by the
 //     deterministic-clock experiments; and
-//   - a real file through the I/O manager (OpenWAL), where Append
-//     submits asynchronous writes and Force is a group-commit fsync:
-//     one leader awaits the outstanding record writes and issues ONE
-//     fsync covering every concurrent committer; followers just wait
-//     for the durable LSN to pass theirs. Batched commits make Fsyncs
-//     strictly smaller than Forces — that is the group-commit win.
+//   - a real file through the I/O manager (OpenWAL), where AppendRun
+//     submits one asynchronous write per run of records and Force is a
+//     group-commit fsync: one leader awaits the outstanding writes and
+//     issues ONE fsync covering every concurrent committer; followers
+//     just wait for the durable LSN to pass theirs.
+//
+// The disk manager's service loop only appends: each commit's records
+// go out as one run, and the loop moves on. Its committer goroutine
+// calls Force and sends the commit replies. Force merges commits only
+// when more than one is queued behind an fsync in flight; with two
+// clients the fsyncs alternate, so Fsyncs per commit stays near 1 and
+// the gain is overlap — one client's records are written while the
+// other's fsync runs.
 type WAL struct {
 	dev  pager.BlockStore // record slots (simulated path)
 	file *iomgr.File      // real-file path (nil for simulated)
@@ -84,23 +91,31 @@ func (w *WAL) Blocks() int { return w.blocks }
 // tests use it for fault injection and stats.
 func (w *WAL) File() *iomgr.File { return w.file }
 
-// Append writes the encoded record for lsn to its slot. On the real
-// path the write is submitted asynchronously — it becomes durable (and
-// its error surfaces) at the next Force that covers it. block must not
-// be reused by the caller.
-func (w *WAL) Append(lsn uint64, block []byte) {
+// Append writes the encoded record for lsn to its slot: a run of one.
+func (w *WAL) Append(lsn uint64, block []byte) { w.AppendRun(lsn, 1, block) }
+
+// AppendRun writes n encoded records, LSNs first..first+n-1, to their
+// consecutive slots; buf holds the n slots back to back. On the real
+// path the run is ONE asynchronous write — it becomes durable (and its
+// error surfaces) at the next Force that covers it. On the simulated
+// disk each slot is its own device write, as the virtual clock charges
+// per block. buf must not be reused by the caller.
+func (w *WAL) AppendRun(first uint64, n int, buf []byte) {
+	last := first + uint64(n) - 1
 	w.mu.Lock()
-	w.appends++
-	w.met.Appends.Inc()
-	if lsn > w.written {
-		w.written = lsn
+	w.appends += int64(n)
+	w.met.Appends.Add(uint64(n))
+	if last > w.written {
+		w.written = last
 	}
 	if w.file == nil {
 		w.mu.Unlock()
-		w.dev.Write(int(lsn-1), block)
+		for i := 0; i < n; i++ {
+			w.dev.Write(int(first-1)+i, buf[i*w.blockSize:])
+		}
 		return
 	}
-	op := w.file.WriteAt(block, int64(lsn-1)*int64(w.blockSize))
+	op := w.file.WriteAt(buf[:n*w.blockSize], int64(first-1)*int64(w.blockSize))
 	w.pending = append(w.pending, op)
 	w.mu.Unlock()
 }

@@ -316,6 +316,20 @@ func (m *Manager) Stop() {
 	m.Space.Destroy()
 }
 
+// Quiesce makes Run return without destroying the space, so the rights
+// the manager's owner still holds — the reply ports of requests it
+// answers later — stay usable until Stop. It needs the port set
+// (UsePortSet): destroying the set is what wakes a blocked Run.
+func (m *Manager) Quiesce() {
+	m.mu.Lock()
+	m.stopped = true
+	set := m.set
+	m.mu.Unlock()
+	if set != 0 {
+		_ = m.Space.DeallocatePort(set) // fails only if the space already died, which ends Run too
+	}
+}
+
 // Run is the manager service loop: it receives on every enabled port of
 // the space — or on the manager's port set, after UsePortSet — and
 // dispatches pager calls to the Handler. It returns when the space is

@@ -15,7 +15,9 @@ import (
 // and out-of-line sections, and for LocalPort-based demux state); d is a
 // decoder positioned at the start of the request payload. Returning a
 // non-nil error sends an error reply carrying StatusOf(err); returning
-// (nil, nil) sends no reply (for one-way notifications).
+// (nil, nil) sends no reply (for one-way notifications). After a handler
+// calls Server.Defer, nothing it returns is sent: the reply is the
+// Deferred's.
 //
 // m, d and the returned Reply are recycled by the server once the
 // handler's reply has been sent: a handler must not retain any of them
@@ -370,11 +372,47 @@ func (s *Server) serve(m *ipc.Message) {
 	r.recycle()
 }
 
+// Deferred is a reply a handler took over from the server with Defer: the
+// request's reply port and trace ID, answered later — from any goroutine,
+// exactly once — with Reply.
+type Deferred struct {
+	s     *Server
+	id    ipc.MsgID
+	port  ipc.Name
+	trace uint64
+}
+
+// Defer takes the reply port and the trace ID out of request m, so the
+// server sends nothing for m when the handler returns; the handler's
+// owner answers later with Deferred.Reply. It refuses (ok false) a
+// sub-call of a batch: a batched handler receives the container message,
+// whose one reply carries every sub-reply, so it must answer before it
+// returns.
+func (s *Server) Defer(m *ipc.Message) (d Deferred, ok bool) {
+	if m.ID == MsgBatch {
+		return Deferred{}, false
+	}
+	d = Deferred{s: s, id: m.ID, port: m.RemotePort, trace: m.Trace()}
+	m.RemotePort = 0
+	m.SetTrace(0)
+	return d, true
+}
+
+// Reply sends the deferred reply: a bare status, as an error reply or
+// the OK of a method without result fields.
+func (d Deferred) Reply(st Status) { d.s.send(d.id, d.port, d.trace, st, nil) }
+
 // replyStatus sends [status][result fields][sections] to the request's
 // reply port, then drops the server's send right to it. Requests without
 // a reply port get no reply (and error statuses are simply dropped, as
 // Mach drops replies to one-way messages).
 func (s *Server) replyStatus(m *ipc.Message, st Status, r *Reply) {
+	s.send(m.ID, m.RemotePort, m.Trace(), st, r)
+}
+
+// send is the one reply path of replyStatus and Deferred.Reply: the reply
+// to request id goes to port, inside trace.
+func (s *Server) send(id ipc.MsgID, port ipc.Name, trace uint64, st Status, r *Reply) {
 	if r != nil && len(r.release) > 0 {
 		// CarryRelease rights leave the server's space once the reply
 		// (whose transit references now hold them) is on its way — or
@@ -385,7 +423,7 @@ func (s *Server) replyStatus(m *ipc.Message, st Status, r *Reply) {
 			}
 		}()
 	}
-	if m.RemotePort == 0 {
+	if port == 0 {
 		return
 	}
 	var body []byte
@@ -395,14 +433,14 @@ func (s *Server) replyStatus(m *ipc.Message, st Status, r *Reply) {
 		extra = r.sections
 	}
 	rm := ipc.GetMessage()
-	rm.ID = m.ID
-	rm.RemotePort = m.RemotePort
+	rm.ID = id
+	rm.RemotePort = port
 	// A traced request's reply joins the same trace: the ID is copied
 	// before Send so Send never mints a second one, keeping one logical
 	// RPC one trace end to end.
-	if t := m.Trace(); t != 0 {
-		rm.SetTrace(t)
-		obs.RecordHop(int32(s.Space.Host()), t, obs.HopReply, int32(m.ID), 0)
+	if trace != 0 {
+		rm.SetTrace(trace)
+		obs.RecordHop(int32(s.Space.Host()), trace, obs.HopReply, int32(id), 0)
 	}
 	// The status byte and result fields are copied into the reply
 	// message's own scratch buffer, which travels (and is recycled)
@@ -419,5 +457,5 @@ func (s *Server) replyStatus(m *ipc.Message, st Status, r *Reply) {
 		// carried rights, so the message can go straight back.
 		rm.Release()
 	}
-	_ = s.Space.DeallocatePort(m.RemotePort)
+	_ = s.Space.DeallocatePort(port)
 }
