@@ -48,18 +48,22 @@ test:
 # (the vm.Map races did) stays invisible at the runner's default.
 race:
 	$(GO) test -race -cpu 1,2 ./...
-	$(GO) test -race -count=2 -run 'TestPortSetChurnStress|TestReceiveAnyVsSetNoDoubleDelivery' ./internal/ipc
+	$(GO) test -race -count=2 -run 'TestPortSetChurnStress' ./internal/ipc
 
 # stress repeats the tests that find interleaving bugs — cross-host
 # out-of-line transfers through the shared transit map, the concurrent
-# vm model, and the camelot commit path with an fsync held (a commit
-# overlapping another client's appends; Close with a commit in flight)
+# vm model, the camelot commit path with an fsync held (a commit
+# overlapping another client's appends; Close with a commit in flight),
+# kernel shutdown joining its default-pager loop, and migration
+# pre-paging against a destination that applies pages asynchronously
 # — on one, two and four processors. A cold first iteration often
 # passes where the tenth does not.
 stress:
 	$(GO) test -run 'TestCrossHostStress' -cpu 1,2,4 -count=20 ./internal/netmsg
 	$(GO) test -run 'TestConcurrentTransitMatchesModel' -cpu 1,2,4 -count=20 ./internal/vm
 	$(GO) test -run 'TestDurableCommitOverlapsHeldFsync|TestDurableCloseAnswersHeldCommit' -cpu 1,2,4 -count=20 ./internal/camelot
+	$(GO) test -run 'TestShutdownLeavesNoManagerLoop' -cpu 1,2,4 -count=20 ./internal/kern
+	$(GO) test -run 'TestMigratePrePaging' -cpu 1,2,4 -count=20 ./internal/migrate
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecode -fuzztime=5s ./internal/rpc

@@ -1,6 +1,6 @@
 // Command machbench regenerates every experiment table of the
-// reproduction (DESIGN.md §5, recorded against the paper in
-// EXPERIMENTS.md).
+// reproduction, E2 through E12, each printed with the paper's claim it
+// is checked against.
 //
 // Usage:
 //
@@ -11,9 +11,12 @@
 //	machbench stats ...  # metrics snapshot + diff + traced RPC (see stats.go)
 //	machbench top ...    # live per-host msgs/s, p99, proxies (see stats.go)
 //
-// All quantities are simulated (deterministic virtual clock), so output
-// is stable across machines; only the shapes are meaningful. The mcore
-// subcommand is the exception: it measures real wall-clock throughput.
+// The tables report simulated quantities (a virtual clock charged by the
+// machine package's cost models); only the shapes are meaningful. The
+// output is not fully reproducible: rows that depend on goroutine
+// scheduling, such as E7's page writes under memory pressure, vary from
+// run to run of one binary. The mcore subcommand measures real
+// wall-clock throughput.
 package main
 
 import (

@@ -98,7 +98,6 @@ type DiskManager struct {
 	closing       bool
 	wake          chan struct{} // 1-buffered: the queue or closing changed
 	committerDone chan struct{}
-	loopDone      chan struct{} // closed when Run returns; nil before Run
 	stopOnce      sync.Once
 
 	stats Stats
@@ -134,11 +133,6 @@ func newManager(k *kern.Kernel, dataDisk pager.BlockStore, wal *WAL) (*DiskManag
 		committerDone: make(chan struct{}),
 	}
 	dm.mgr = pager.NewManager(dm.task.Space, (*dmHandler)(dm))
-	// Segment object ports, the notify port and the service port share
-	// one port set drained by the single manager goroutine.
-	if err := dm.mgr.UsePortSet(); err != nil {
-		return nil, err
-	}
 	srv, err := rpc.NewServer(dm.task.Space)
 	if err != nil {
 		return nil, err
@@ -158,14 +152,7 @@ func newManager(k *kern.Kernel, dataDisk pager.BlockStore, wal *WAL) (*DiskManag
 }
 
 // Run serves the manager loop until Stop.
-func (dm *DiskManager) Run() {
-	done := make(chan struct{})
-	defer close(done)
-	dm.mu.Lock()
-	dm.loopDone = done
-	dm.mu.Unlock()
-	dm.mgr.Run()
-}
+func (dm *DiskManager) Run() { dm.mgr.Run() }
 
 // Stop terminates the manager task, in an order that answers every
 // commit truthfully: the service loop stops; the manager is marked
@@ -175,14 +162,6 @@ func (dm *DiskManager) Run() {
 func (dm *DiskManager) Stop() {
 	dm.stopOnce.Do(func() {
 		dm.mgr.Quiesce()
-		dm.mu.Lock()
-		loop := dm.loopDone
-		dm.mu.Unlock()
-		// A Run not yet registered finds the loop quiesced and returns
-		// at once, so there is nothing to wait for.
-		if loop != nil {
-			<-loop
-		}
 		dm.mu.Lock()
 		dm.closing = true
 		dm.mu.Unlock()

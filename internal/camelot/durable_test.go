@@ -367,10 +367,13 @@ func TestDurableCloseAnswersHeldCommit(t *testing.T) {
 	<-held
 	closed := make(chan error, 1)
 	go func() { closed <- dm.Close() }()
-	dm.mu.Lock()
-	loop := dm.loopDone
-	dm.mu.Unlock()
-	<-loop
+	// Close marks the manager closing once its service loop has
+	// returned; it then waits for the committer.
+	for closing := false; !closing; time.Sleep(time.Millisecond) {
+		dm.mu.Lock()
+		closing = dm.closing
+		dm.mu.Unlock()
+	}
 	select {
 	case err := <-closed:
 		t.Fatalf("Close returned (%v) while a commit was held in fsync", err)

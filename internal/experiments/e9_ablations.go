@@ -11,7 +11,7 @@ import (
 	"repro/internal/vm"
 )
 
-// E9Ablations measures the design choices DESIGN.md calls out, each
+// E9Ablations measures three of the reproduction's design choices, each
 // against the obvious alternative:
 //
 //   - copy-on-write fork vs an eager copy of the address space;

@@ -1,8 +1,8 @@
 // Package experiments regenerates the paper's quantitative claims: one
-// function per experiment of the DESIGN.md index (E2..E8), each returning
-// a printable Table. cmd/machbench renders them; the root bench_test.go
-// drives them under testing.B. EXPERIMENTS.md records the paper-claimed
-// versus measured values.
+// function per experiment (E2..E12), each returning a printable Table
+// that carries the paper's claim beside the measured rows.
+// cmd/machbench renders them; the root bench_test.go drives them under
+// testing.B.
 //
 // Absolute numbers are simulated (the machine package's cost models), so
 // only the SHAPES are meaningful: who wins, by what factor, where the

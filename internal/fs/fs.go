@@ -101,13 +101,6 @@ func NewServer(k *kern.Kernel, disk *machine.Disk) (*Server, error) {
 		sessions: make(map[ipc.Name]*session),
 	}
 	s.mgr = pager.NewManager(s.task.Space, (*serverHandler)(s))
-	// One receive point for many ports: object ports, the notify port
-	// and the service port are members of one port set, received with
-	// fair rotation by the single manager goroutine (§4-§5 server
-	// shape).
-	if err := s.mgr.UsePortSet(); err != nil {
-		return nil, err
-	}
 	srv, err := rpc.NewServer(s.task.Space)
 	if err != nil {
 		return nil, err

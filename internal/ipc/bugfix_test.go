@@ -1,12 +1,10 @@
 package ipc
 
-// Regression tests for three IPC correctness fixes:
+// Regression tests for two IPC correctness fixes:
 //
-//  1. receiveAny keeps a rotating cursor across calls, so a flooded
-//     low-numbered port cannot starve other enabled ports.
-//  2. Send requires a send or receive right for the reply port named in
+//  1. Send requires a send or receive right for the reply port named in
 //     LocalPort, instead of mere existence of the name.
-//  3. deliver destroys a transferred receive right that cannot be
+//  2. deliver destroys a transferred receive right that cannot be
 //     installed (dying space), instead of silently orphaning the port.
 
 import (
@@ -14,59 +12,6 @@ import (
 	"testing"
 	"time"
 )
-
-// TestReceiveAnyFairness floods two enabled ports and asserts that
-// receive-any drains both instead of serving whichever port the shard
-// scan happens to visit first until it is empty. Before the cursor fix
-// the candidate order was fixed per space (shard order), so the first
-// port's entire backlog was served before the second port's first
-// message.
-func TestReceiveAnyFairness(t *testing.T) {
-	s := NewSpace(0, nil)
-	defer s.Destroy()
-
-	a, err := s.AllocatePort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.AllocatePort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []Name{a, b} {
-		if err := s.Enable(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	const depth = DefaultBacklog
-	for i := 0; i < depth; i++ {
-		for _, n := range []Name{a, b} {
-			if err := s.Send(&Message{ID: MsgID(i), RemotePort: n}, SendOptions{NonBlocking: true}); err != nil {
-				t.Fatalf("flood %v: %v", n, err)
-			}
-		}
-	}
-
-	// Take one backlog's worth of messages; with rotation both ports
-	// must appear well before either is fully drained.
-	seen := map[Name]int{}
-	for i := 0; i < depth; i++ {
-		m, err := s.Receive(ReceiveAny, ReceiveOptions{NonBlocking: true})
-		if err != nil {
-			t.Fatalf("receive %d: %v", i, err)
-		}
-		seen[m.LocalPort]++
-	}
-	if seen[a] == 0 || seen[b] == 0 {
-		t.Fatalf("one flooded port starved the other: got %d from %v, %d from %v", seen[a], a, seen[b], b)
-	}
-	// The rotation is strict alternation while both ports stay
-	// non-empty, so the split must be exactly even.
-	if seen[a] != depth/2 || seen[b] != depth/2 {
-		t.Fatalf("rotation not fair: got %d from %v, %d from %v, want %d each", seen[a], a, seen[b], b, depth/2)
-	}
-}
 
 // TestSendReplyPortRequiresRight names a port the sender holds no send
 // or receive right to as the reply port and asserts the send is

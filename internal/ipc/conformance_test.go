@@ -136,6 +136,15 @@ func buildState(t *testing.T, st confState) *confEnv {
 	return e
 }
 
+// receiveSet returns the set the space receives n through: e.set when
+// the state has one, otherwise a newly allocated set.
+func (e *confEnv) receiveSet() (Name, error) {
+	if e.set != 0 {
+		return e.set, nil
+	}
+	return e.s.AllocatePortSet()
+}
+
 // confOp is one operation applied to the name under test.
 type confOp struct {
 	name string
@@ -158,8 +167,26 @@ var confOps = []confOp{
 		_, err := e.s.Status(e.n)
 		return err
 	}},
-	{"Enable", func(e *confEnv) error { return e.s.Enable(e.n) }},
-	{"Disable", func(e *confEnv) error { return e.s.Disable(e.n) }},
+	// Enable and Disable are port_enable and port_disable as Mach 3
+	// recast them: port_set_add and port_set_remove on the set the
+	// space receives on — the set a setMember already sits in (or a
+	// setName is), a new one otherwise. The MoveToPortSet and
+	// RemoveFromPortSet columns always use an unrelated fresh set, so
+	// only these two reach a name's own set.
+	{"Enable", func(e *confEnv) error {
+		set, err := e.receiveSet()
+		if err != nil {
+			return err
+		}
+		return e.s.MoveToPortSet(set, e.n)
+	}},
+	{"Disable", func(e *confEnv) error {
+		set, err := e.receiveSet()
+		if err != nil {
+			return err
+		}
+		return e.s.RemoveFromPortSet(set, e.n)
+	}},
 	{"SetBacklog", func(e *confEnv) error { return e.s.SetBacklog(e.n, 4) }},
 	{"CopySendRight", func(e *confEnv) error {
 		_, err := e.s.CopySendRight(e.peer, e.n)
@@ -241,35 +268,35 @@ var wouldBlock = ErrWouldBlock
 var conformance = map[confState]map[string]error{
 	stSendRecv: {
 		"Send": ok, "Receive": wouldBlock, "Resolve": ok, "Status": ok,
-		"Enable": ok, "Disable": ok, "SetBacklog": ok,
+		"Enable": ok, "Disable": ErrNotInSet, "SetBacklog": ok,
 		"CopySendRight": ok, "CarrySend": ok, "CarryReceive": ok, "ReplyPort": ok,
 		"RequestNoSenders": ok, "RequestDeadName": ok,
 		"MoveToPortSet": ok, "RemoveFromPortSet": ErrNotInSet, "Deallocate": ok,
 	},
 	stSendOnly: {
 		"Send": ok, "Receive": ErrNotReceiver, "Resolve": ok, "Status": ok,
-		"Enable": ErrNotReceiver, "Disable": ok, "SetBacklog": ErrNotReceiver,
+		"Enable": ErrNotReceiver, "Disable": ErrNotInSet, "SetBacklog": ErrNotReceiver,
 		"CopySendRight": ok, "CarrySend": ok, "CarryReceive": ErrInvalidPort, "ReplyPort": ok,
 		"RequestNoSenders": ErrNotReceiver, "RequestDeadName": ok,
 		"MoveToPortSet": ErrNotReceiver, "RemoveFromPortSet": ErrNotInSet, "Deallocate": ok,
 	},
 	stRecvOnly: {
 		"Send": ErrInvalidPort, "Receive": wouldBlock, "Resolve": ok, "Status": ok,
-		"Enable": ok, "Disable": ok, "SetBacklog": ok,
+		"Enable": ok, "Disable": ErrNotInSet, "SetBacklog": ok,
 		"CopySendRight": ok, "CarrySend": ErrInvalidPort, "CarryReceive": ok, "ReplyPort": ok,
 		"RequestNoSenders": ok, "RequestDeadName": ErrInvalidPort,
 		"MoveToPortSet": ok, "RemoveFromPortSet": ErrNotInSet, "Deallocate": ok,
 	},
 	stDeadName: {
 		"Send": ErrDeadName, "Receive": ErrNotReceiver, "Resolve": ErrDeadName, "Status": ok,
-		"Enable": ErrNotReceiver, "Disable": ok, "SetBacklog": ErrNotReceiver,
+		"Enable": ErrNotReceiver, "Disable": ErrNotInSet, "SetBacklog": ErrNotReceiver,
 		"CopySendRight": ErrDeadName, "CarrySend": ErrDeadName, "CarryReceive": ErrInvalidPort, "ReplyPort": ErrDeadName,
 		"RequestNoSenders": ErrNotReceiver, "RequestDeadName": ErrDeadName,
 		"MoveToPortSet": ErrNotReceiver, "RemoveFromPortSet": ErrNotInSet, "Deallocate": ok,
 	},
 	stDeadSR: {
 		"Send": ErrDeadName, "Receive": ErrPortDied, "Resolve": ErrDeadName, "Status": ok,
-		"Enable": ok, "Disable": ok, "SetBacklog": ok,
+		"Enable": ErrDeadName, "Disable": ErrNotInSet, "SetBacklog": ok,
 		"CopySendRight": ErrDeadName, "CarrySend": ErrDeadName, "CarryReceive": ErrDeadName, "ReplyPort": ErrDeadName,
 		"RequestNoSenders": ErrPortDied, "RequestDeadName": ErrDeadName,
 		"MoveToPortSet": ErrDeadName, "RemoveFromPortSet": ErrNotInSet, "Deallocate": ok,
@@ -284,7 +311,7 @@ var conformance = map[confState]map[string]error{
 	stSetName: {
 		"Send": ErrInvalidPort, "Receive": ErrNoEnabledPorts, "Resolve": ErrInvalidPort, "Status": ErrInvalidPort,
 		// SetBacklog on a set name installs the set-wide queue cap.
-		"Enable": ErrNotReceiver, "Disable": ok, "SetBacklog": ok,
+		"Enable": ErrInvalidPort, "Disable": ErrInvalidPort, "SetBacklog": ok,
 		"CopySendRight": ErrInvalidPort, "CarrySend": ErrInvalidPort, "CarryReceive": ErrInvalidPort, "ReplyPort": ErrInvalidPort,
 		"RequestNoSenders": ErrNotReceiver, "RequestDeadName": ErrInvalidPort,
 		"MoveToPortSet": ErrInvalidPort, "RemoveFromPortSet": ErrInvalidPort, "Deallocate": ok,

@@ -3,8 +3,9 @@
 // spaces, typed messages that can carry data, port rights and out-of-line
 // memory regions, and the primitive operations of Tables 3-1 and 3-2 of
 // the paper (msg_send / msg_receive / msg_rpc, port_allocate,
-// port_deallocate, port_enable, port_disable, port_messages, port_status,
-// port_set_backlog).
+// port_deallocate, port_status, port_set_backlog). Mach's port sets
+// stand in for port_enable, port_disable and port_messages: a task
+// receives from many ports by naming one set.
 //
 // A port has any number of senders but exactly one receiver. Access to a
 // port is granted only by receiving a message containing a port right.
@@ -42,8 +43,8 @@ var (
 	// ErrWouldBlock: a non-blocking send found the backlog full or a
 	// non-blocking receive found no message.
 	ErrWouldBlock = errors.New("ipc: operation would block")
-	// ErrNoEnabledPorts: receive-any on a space with no enabled ports.
-	ErrNoEnabledPorts = errors.New("ipc: no ports enabled for receive")
+	// ErrNoEnabledPorts: receive on a port set with no members.
+	ErrNoEnabledPorts = errors.New("ipc: port set has no members")
 	// ErrSpaceDead: the name space was destroyed (task terminated).
 	ErrSpaceDead = errors.New("ipc: port name space destroyed")
 	// ErrDuplicateRight: inserting a receive right the space already

@@ -106,44 +106,9 @@ func TestRightsInDroppedMessagesDestroyed(t *testing.T) {
 	// Destroy the destination port without ever receiving.
 	a.DeallocatePort(dest)
 	// The carried port must now be dead: holder gets a notification.
-	m, err := holder.Receive(ReceiveAny, ReceiveOptions{Timeout: time.Second})
+	m, err := holder.Receive(holder.NotifyPort(), ReceiveOptions{Timeout: time.Second})
 	if err != nil || m.ID != MsgIDPortDeleted {
 		t.Fatalf("holder notification: %v %+v", err, m)
-	}
-}
-
-// TestEnabledWithMessagesOrderIndependent: port_messages reports exactly
-// the enabled ports with queued messages.
-func TestEnabledWithMessagesExact(t *testing.T) {
-	s := NewSpace(0, nil)
-	var withMsgs, without []Name
-	for i := 0; i < 6; i++ {
-		n, _ := s.AllocatePort()
-		s.Enable(n)
-		if i%2 == 0 {
-			s.Send(&Message{RemotePort: n}, SendOptions{})
-			withMsgs = append(withMsgs, n)
-		} else {
-			without = append(without, n)
-		}
-	}
-	got := s.EnabledWithMessages()
-	if len(got) != len(withMsgs) {
-		t.Fatalf("got %v, want %v", got, withMsgs)
-	}
-	set := map[Name]bool{}
-	for _, n := range got {
-		set[n] = true
-	}
-	for _, n := range withMsgs {
-		if !set[n] {
-			t.Fatalf("missing %d in %v", n, got)
-		}
-	}
-	for _, n := range without {
-		if set[n] {
-			t.Fatalf("empty port %d reported", n)
-		}
 	}
 }
 
@@ -209,7 +174,7 @@ func TestNotificationsSurviveChurn(t *testing.T) {
 	p, _ := other.Resolve(n)
 	holder.InsertRight(p, SendRight)
 	other.DeallocatePort(n)
-	m, err := holder.Receive(ReceiveAny, ReceiveOptions{Timeout: time.Second})
+	m, err := holder.Receive(holder.NotifyPort(), ReceiveOptions{Timeout: time.Second})
 	if err != nil || m.ID != MsgIDPortDeleted {
 		t.Fatalf("notification after churn: %v %+v", err, m)
 	}

@@ -270,7 +270,7 @@ func TestPortDeathNotification(t *testing.T) {
 		t.Fatal(err)
 	}
 	// holder's notify port gets a MsgIDPortDeleted naming hn.
-	m, err := holder.Receive(ReceiveAny, ReceiveOptions{Timeout: time.Second})
+	m, err := holder.Receive(holder.NotifyPort(), ReceiveOptions{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,64 +323,6 @@ func TestBlockedReceiverWokenByDeath(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("receiver not woken by port death")
-	}
-}
-
-func TestReceiveAnyDefaultGroup(t *testing.T) {
-	s := newTestSpace()
-	p1, _ := s.AllocatePort()
-	p2, _ := s.AllocatePort()
-	s.Enable(p1)
-	// p2 NOT enabled: its messages must not satisfy receive-any.
-	if err := s.Send(&Message{ID: 2, RemotePort: p2}, SendOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Receive(ReceiveAny, ReceiveOptions{NonBlocking: true}); err != ErrWouldBlock {
-		t.Fatalf("receive-any saw disabled port: %v", err)
-	}
-	if err := s.Send(&Message{ID: 1, RemotePort: p1}, SendOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Receive(ReceiveAny, ReceiveOptions{Timeout: time.Second})
-	if err != nil || m.ID != 1 {
-		t.Fatalf("receive-any: %v %+v", err, m)
-	}
-	if m.LocalPort != p1 {
-		t.Fatalf("arrived on %d, want %d", m.LocalPort, p1)
-	}
-	// port_messages: only enabled ports with queued messages.
-	s.Enable(p2)
-	names := s.EnabledWithMessages()
-	if len(names) != 1 || names[0] != p2 {
-		t.Fatalf("EnabledWithMessages %v, want [%d]", names, p2)
-	}
-	// Disable removes from the group.
-	s.Disable(p2)
-	if got := s.EnabledWithMessages(); len(got) != 0 {
-		t.Fatalf("after disable: %v", got)
-	}
-}
-
-func TestReceiveAnyWakesOnArrival(t *testing.T) {
-	s := newTestSpace()
-	n, _ := s.AllocatePort()
-	s.Enable(n)
-	done := make(chan *Message, 1)
-	go func() {
-		m, _ := s.Receive(ReceiveAny, ReceiveOptions{Timeout: 2 * time.Second})
-		done <- m
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if err := s.Send(&Message{ID: 5, RemotePort: n}, SendOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-done:
-		if m == nil || m.ID != 5 {
-			t.Fatalf("got %+v", m)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("receive-any not woken")
 	}
 }
 
@@ -469,7 +411,7 @@ func TestSpaceDestroy(t *testing.T) {
 	holder.InsertRight(p, SendRight)
 	victim.Destroy()
 	// holder is notified of the port death.
-	m, err := holder.Receive(ReceiveAny, ReceiveOptions{Timeout: time.Second})
+	m, err := holder.Receive(holder.NotifyPort(), ReceiveOptions{Timeout: time.Second})
 	if err != nil || m.ID != MsgIDPortDeleted {
 		t.Fatalf("notification: %v %+v", err, m)
 	}

@@ -1,7 +1,6 @@
 package ipc
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/machine"
@@ -71,7 +70,6 @@ func (s *Space) extractRights(n Name, r Right) (*Port, error) {
 	gone := e.rights == 0
 	if gone {
 		delete(sh.names, n)
-		delete(sh.enabled, n)
 	}
 	sh.mu.Unlock()
 	// A migrating receive right leaves its port set: the set is a
@@ -187,41 +185,36 @@ func (s *Space) sendResolved(dest *Port, m *Message, opts SendOptions) error {
 	return dest.enqueue(m, opts.Force, opts.NonBlocking, opts.Timeout)
 }
 
-// Receive takes the next message from the named port, from the named
-// port set (fair round-robin over its members), or from the default
-// group of enabled ports when from is ReceiveAny (msg_receive). Rights
+// Receive takes the next message from the named port, or from the named
+// port set with fair round-robin over its members (msg_receive). Rights
 // in the message are installed in this space and the message is
 // rewritten: LocalPort becomes the name of the port the message arrived
 // on (the member's name, for a set receive) and RemotePort the name of
 // the reply port, if any. Receiving directly from a port that is a
 // member of a set fails with ErrInSet.
 func (s *Space) Receive(from Name, opts ReceiveOptions) (*Message, error) {
+	if s.dead.Load() {
+		return nil, ErrSpaceDead
+	}
+	sh := s.shardFor(from)
+	sh.mu.RLock()
+	e, ok := sh.names[from]
+	if !ok {
+		sh.mu.RUnlock()
+		return nil, ErrInvalidPort
+	}
 	var m *Message
 	var err error
-	if from == ReceiveAny {
-		m, err = s.receiveAny(opts)
+	if set := e.set; set != nil {
+		sh.mu.RUnlock()
+		m, err = set.receive(opts)
+	} else if e.rights&ReceiveRight == 0 {
+		sh.mu.RUnlock()
+		return nil, ErrNotReceiver
 	} else {
-		if s.dead.Load() {
-			return nil, ErrSpaceDead
-		}
-		sh := s.shardFor(from)
-		sh.mu.RLock()
-		e, ok := sh.names[from]
-		if !ok {
-			sh.mu.RUnlock()
-			return nil, ErrInvalidPort
-		}
-		if set := e.set; set != nil {
-			sh.mu.RUnlock()
-			m, err = set.receive(opts)
-		} else if e.rights&ReceiveRight == 0 {
-			sh.mu.RUnlock()
-			return nil, ErrNotReceiver
-		} else {
-			p := e.port
-			sh.mu.RUnlock()
-			m, err = p.dequeue(opts.NonBlocking, opts.Timeout)
-		}
+		p := e.port
+		sh.mu.RUnlock()
+		m, err = p.dequeue(opts.NonBlocking, opts.Timeout)
 	}
 	if err != nil {
 		return nil, err
@@ -240,89 +233,6 @@ func (s *Space) Receive(from Name, opts ReceiveOptions) (*Message, error) {
 	}
 	s.deliver(m)
 	return m, nil
-}
-
-// receiveAny scans the enabled ports round-robin, blocking on the space
-// wake channel between scans. The rotation cursor persists across calls
-// (and across threads of one space): each scan resumes just past the
-// port served last, so a flooded low-numbered port cannot starve the
-// other enabled ports.
-func (s *Space) receiveAny(opts ReceiveOptions) (*Message, error) {
-	// Announce the scan before reading any queue: wakeAll elides its
-	// channel churn when no receive-any is in flight, which is sound
-	// because this increment is sequenced before every lock the scan
-	// takes — a sender whose enqueue the scan missed must then observe
-	// the incremented count and perform the real wakeup.
-	s.anyParked.Add(1)
-	defer s.anyParked.Add(-1)
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
-	}
-	type cand struct {
-		n Name
-		p *Port
-	}
-	for {
-		if s.dead.Load() {
-			return nil, ErrSpaceDead
-		}
-		var cands []cand
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.RLock()
-			for n := range sh.enabled {
-				if e, ok := sh.names[n]; ok && e.rights&ReceiveRight != 0 {
-					cands = append(cands, cand{n, e.port})
-				}
-			}
-			sh.mu.RUnlock()
-		}
-		if len(cands) == 0 {
-			return nil, ErrNoEnabledPorts
-		}
-		// Shard and map iteration order are arbitrary; sort by name so
-		// the cursor defines one stable cycle over the enabled set.
-		sort.Slice(cands, func(i, j int) bool { return cands[i].n < cands[j].n })
-		start := 0
-		last := Name(s.rrCursor.Load())
-		for i := range cands {
-			if cands[i].n > last {
-				start = i
-				break
-			}
-		}
-		ch := s.wakeChan()
-		for i := range cands {
-			c := cands[(start+i)%len(cands)]
-			// tryDequeueFor(nil) refuses ports inside a port set (their
-			// messages arrive through the set), re-checked under the
-			// port lock so concurrent membership churn can never
-			// double-deliver one message.
-			if m, ok := c.p.tryDequeueFor(nil); ok {
-				s.rrCursor.Store(uint32(c.n))
-				return m, nil
-			}
-		}
-		if opts.NonBlocking {
-			return nil, ErrWouldBlock
-		}
-		if deadline.IsZero() {
-			<-ch
-			continue
-		}
-		d := time.Until(deadline)
-		if d <= 0 {
-			return nil, ErrRcvTimedOut
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-			return nil, ErrRcvTimedOut
-		}
-	}
 }
 
 // deliver installs in-flight rights into the space and rewrites the

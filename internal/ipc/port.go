@@ -17,10 +17,10 @@ var portIDs atomic.Uint64
 
 // recvWaiter is one receiver parked in dequeue. The sender hands the
 // message straight to the waiter (under the port lock) and signals the
-// buffered channel, so delivery to a blocked receiver never touches the
-// space-level wakeup machinery. The timer is lazily created and reused
-// across park cycles (a timed receive previously cost a fresh
-// time.NewTimer — three allocations — per call).
+// buffered channel, so delivery to a blocked receiver never touches
+// namespace state. The timer is lazily created and reused across park
+// cycles (a timed receive previously cost a fresh time.NewTimer — three
+// allocations — per call).
 type recvWaiter struct {
 	m     *Message
 	err   error
@@ -138,10 +138,9 @@ type Port struct {
 
 	// inSet is the port set this receive right belongs to, nil for
 	// direct receive. While set, messages are taken only through the
-	// set (direct receive fails with ErrInSet and receive-any skips the
-	// port), so one message can never be delivered twice. Guarded by mu;
-	// the set's own lock is ordered before mu, so holders of mu hand
-	// set wakeups off after unlocking.
+	// set (direct receive fails with ErrInSet), so one message can never
+	// be delivered twice. Guarded by mu; the set's own lock is ordered
+	// before mu, so holders of mu hand set wakeups off after unlocking.
 	inSet *portSet
 }
 
@@ -226,10 +225,10 @@ func condWait(c *sync.Cond, deadline time.Time) bool {
 // unless force (kernel notifications) or nonblock is set.
 //
 // Delivery is entirely per-port state: if a receiver is parked on the
-// port the message is handed to it directly (FIFO via the queue head)
-// and the space-level receive-any wakeup is skipped — the lock-split
-// fast path that keeps one sender/receiver pair from touching any
-// namespace state.
+// port the message is handed to it directly (FIFO via the queue head),
+// and a member of a port set hands one wakeup to one parked set
+// receiver — the lock-split fast path that keeps one sender/receiver
+// pair from touching any namespace state.
 func (p *Port) enqueue(m *Message, force, nonblock bool, timeout time.Duration) error {
 	var deadline time.Time
 	if timeout > 0 {
@@ -298,24 +297,19 @@ func (p *Port) enqueue(m *Message, force, nonblock bool, timeout time.Duration) 
 		obs.RecordHop(int32(p.home), m.trace, obs.HopEnqueue, int32(m.ID), p.id)
 	}
 	set := p.inSet
-	var queued bool
-	var recv *Space
 	if set == nil {
-		queued, recv = p.dispatchLocked()
+		p.dispatchLocked()
 	}
 	p.mu.Unlock()
 	if set != nil {
 		set.notifyOne()
-	} else if queued && recv != nil {
-		recv.wakeAll()
 	}
 	return nil
 }
 
 // dispatchLocked hands queued messages to parked receivers (FIFO via
-// the queue head). Caller holds p.mu. It reports whether messages
-// remain queued and which space to wake for a receive-any.
-func (p *Port) dispatchLocked() (queued bool, recv *Space) {
+// the queue head). Caller holds p.mu.
+func (p *Port) dispatchLocked() {
 	handed := uint64(0)
 	for len(p.waiters) > 0 && p.queue.n > 0 {
 		w := p.popWaiterLocked()
@@ -331,7 +325,6 @@ func (p *Port) dispatchLocked() (queued bool, recv *Space) {
 			p.handoffs = 0
 		}
 	}
-	return p.queue.n > 0, p.receiver
 }
 
 // handoffFlushBatch is how many handoffs a port tallies locally before
@@ -373,17 +366,12 @@ func (p *Port) enqueueNotify(m *Message, cap int) bool {
 	if set != nil {
 		// Counted against the set cap but never blocked, like force.
 		set.tryCharge(true)
-	}
-	var queued bool
-	var recv *Space
-	if set == nil {
-		queued, recv = p.dispatchLocked()
+	} else {
+		p.dispatchLocked()
 	}
 	p.mu.Unlock()
 	if set != nil {
 		set.notifyOne()
-	} else if queued && recv != nil {
-		recv.wakeAll()
 	}
 	return true
 }
@@ -468,10 +456,8 @@ func (p *Port) cancelWait(w *recvWaiter) (*Message, error) {
 }
 
 // tryDequeueFor removes the oldest message without blocking, on behalf
-// of the given receive source: a port set for set receives, nil for
-// direct and receive-any paths. The membership check runs under the
-// port lock, so a receive-any scan can never take a message from a
-// port inside a set (and a set scan never from a port that left it) —
+// of a receive on set. The membership check runs under the port lock,
+// so a set scan never takes a message from a port that left the set —
 // one message, one delivery path, even under concurrent membership
 // churn.
 func (p *Port) tryDequeueFor(set *portSet) (*Message, bool) {
@@ -483,9 +469,7 @@ func (p *Port) tryDequeueFor(set *portSet) (*Message, bool) {
 	m := p.queue.pop()
 	p.sendCond.Broadcast()
 	p.mu.Unlock()
-	if set != nil {
-		set.discharge(1)
-	}
+	set.discharge(1)
 	return m, true
 }
 
@@ -506,7 +490,7 @@ func (p *Port) leaveSet() {
 		if cur == nil {
 			return
 		}
-		if removed, _ := cur.removeMember(p); removed {
+		if cur.removeMember(p) {
 			return
 		}
 	}
@@ -794,7 +778,6 @@ func (p *Port) destroy() {
 	}
 	for _, s := range notify {
 		s.notifyPortDeath(p)
-		s.wakeAll()
 	}
 }
 

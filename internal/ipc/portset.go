@@ -16,8 +16,7 @@ import (
 // own queue and backlog, so per-port backpressure (a full member stalls
 // only its own senders) and no-senders accounting are untouched by
 // membership. A set receive scans the members in name order starting
-// just past the member served last (the same rotating-cursor discipline
-// as receiveAny), and parks on a set-level waiter list between scans; a
+// just past the member served last (a rotating cursor), and parks on a set-level waiter list between scans; a
 // sender enqueueing on a member hands a wakeup to exactly one parked
 // waiter, so the hot path costs one buffered-channel signal, not a
 // broadcast.
@@ -222,17 +221,16 @@ func (*retryError) Error() string { return "ipc: retry" }
 // removeMember conditionally detaches p: it reports whether p was a
 // member of this set (and was removed). Waiters are woken to rescan —
 // an emptied set must fail them with ErrNoEnabledPorts.
-func (ps *portSet) removeMember(p *Port) (removed, queued bool) {
+func (ps *portSet) removeMember(p *Port) bool {
 	ps.mu.Lock()
 	p.mu.Lock()
 	if p.inSet != ps {
 		p.mu.Unlock()
 		ps.mu.Unlock()
-		return false, false
+		return false
 	}
 	p.inSet = nil
 	qn := p.queue.n
-	queued = qn > 0
 	p.mu.Unlock()
 	for n, m := range ps.members {
 		if m == p {
@@ -248,7 +246,7 @@ func (ps *portSet) removeMember(p *Port) (removed, queued bool) {
 	ps.discharge(qn)
 	ps.wakeSenders()
 	ps.notifyAll()
-	return true, queued
+	return true
 }
 
 // forgetPort drops a member whose port died. The port already cleared
@@ -272,14 +270,12 @@ func (ps *portSet) forgetPort(p *Port, drained int) {
 }
 
 // destroy kills the set: members are orphaned back to direct receive
-// (their queues intact) and waiters are failed with reason. It reports
-// whether any orphan had queued messages, so the caller can wake the
-// space's receive-any scan.
-func (ps *portSet) destroy(reason error) (orphanQueued bool) {
+// (their queues intact) and waiters are failed with reason.
+func (ps *portSet) destroy(reason error) {
 	ps.mu.Lock()
 	if ps.dead {
 		ps.mu.Unlock()
-		return false
+		return
 	}
 	ps.dead = true
 	ps.err = reason
@@ -293,9 +289,6 @@ func (ps *portSet) destroy(reason error) (orphanQueued bool) {
 		p.mu.Lock()
 		if p.inSet == ps {
 			p.inSet = nil
-			if p.queue.n > 0 {
-				orphanQueued = true
-			}
 		}
 		p.mu.Unlock()
 	}
@@ -306,7 +299,6 @@ func (ps *portSet) destroy(reason error) (orphanQueued bool) {
 	// Senders parked on the set cap re-check and find their ports
 	// orphaned back to per-port backpressure.
 	ps.wakeSenders()
-	return orphanQueued
 }
 
 // notifyOne wakes one parked waiter to rescan — the per-message wakeup
@@ -367,9 +359,8 @@ func (ps *portSet) cancelWaiter(w *recvWaiter) {
 // scan walks the members once in rotation order and takes the oldest
 // message of the first member holding one. tryDequeueFor re-checks
 // membership under the port lock, so a scan can never take a message
-// from a port that concurrently left the set (or was never in it) —
-// the other half of the no-double-delivery guarantee receiveAny's
-// tryDequeueFor(nil) provides.
+// from a port that concurrently left the set (or was never in it), so
+// no message is delivered twice.
 func (ps *portSet) scan(sorted []setMember) (*Message, bool) {
 	if len(sorted) == 0 {
 		return nil, false
@@ -543,8 +534,7 @@ func (s *Space) MoveToPortSet(set, member Name) error {
 
 // RemoveFromPortSet moves the receive right named member out of the
 // named set, back to direct receive (port_set_remove). Messages queued
-// on the member stay queued and become receivable directly (and by
-// receive-any, if the port is enabled).
+// on the member stay queued and become receivable directly.
 func (s *Space) RemoveFromPortSet(set, member Name) error {
 	ps, err := s.resolveSet(set)
 	if err != nil {
@@ -559,14 +549,8 @@ func (s *Space) RemoveFromPortSet(set, member Name) error {
 	}
 	p := e.port
 	sh.mu.RUnlock()
-	removed, queued := ps.removeMember(p)
-	if !removed {
+	if !ps.removeMember(p) {
 		return ErrNotInSet
-	}
-	if queued {
-		// A direct or receive-any receiver may already be parked; the
-		// orphaned queue is its business now.
-		s.wakeAll()
 	}
 	return nil
 }

@@ -10,13 +10,9 @@ import (
 )
 
 // Name is a task-local port name, the integer a task uses to denote a
-// port right in its space. Name 0 is never a valid right; as an argument
-// to Receive it means "the default group of enabled ports" (ReceiveAny).
+// port right in its space. Name 0 is never a valid right. A task that
+// receives from many ports names one port set (AllocatePortSet).
 type Name uint32
-
-// ReceiveAny directs Receive to take the oldest message from any enabled
-// port, matching msg_receive's default-group behaviour.
-const ReceiveAny Name = 0
 
 // SendOptions control msg_send. The zero value blocks indefinitely while
 // the destination backlog is full.
@@ -69,8 +65,6 @@ type entry struct {
 type PortStatus struct {
 	// HasReceive reports whether this space holds the receive right.
 	HasReceive bool
-	// Enabled reports membership in the default receive group.
-	Enabled bool
 	// NumMsgs is the current queue depth.
 	NumMsgs int
 	// Backlog is the queue limit set by port_set_backlog.
@@ -93,9 +87,8 @@ const (
 // lookups on the send/receive path only read-lock one shard instead of
 // serializing the whole space.
 type nameShard struct {
-	mu      sync.RWMutex
-	names   map[Name]*entry
-	enabled map[Name]bool
+	mu    sync.RWMutex
+	names map[Name]*entry
 	// seq drives name allocation within the shard: candidate names are
 	// seq*numShards + shardIndex.
 	seq uint32
@@ -138,25 +131,12 @@ type Space struct {
 	// genCtr stamps every installed name entry with a space-unique
 	// generation (see entry.gen).
 	genCtr atomic.Uint32
-	// rrCursor is the name of the enabled port receiveAny served last,
-	// the rotation point the next scan resumes after (fairness across
-	// flooded ports).
-	rrCursor atomic.Uint32
-	dead     atomic.Bool
-	notify   Name
+	dead   atomic.Bool
+	notify Name
 	// deadLetters counts kernel notifications dropped because the
 	// notify port's queue was at NotifyQueueCap (or the notify port was
 	// gone) — the space's dead-letter counter.
 	deadLetters atomic.Uint64
-
-	wakeMu sync.Mutex
-	wakeCh chan struct{}
-	// anyParked counts threads currently inside receiveAny. wakeAll
-	// replaces the wake channel only when it is non-zero, so the common
-	// case — a send with no receive-any waiter anywhere — skips the
-	// channel re-make (one allocation) entirely. See receiveAny for the
-	// ordering argument that makes the skip safe.
-	anyParked atomic.Int32
 
 	// trimFn is the no-senders callback getReplyPort arms on every
 	// borrowed reply port, built once here so each RPC does not allocate
@@ -207,19 +187,17 @@ const replyPoolFloor = 8
 const NotifyQueueCap = 256
 
 // NewSpace creates an empty port name space on the given host. Every
-// space is born with an enabled notify port on which the kernel delivers
+// space is born with a notify port on which the kernel delivers
 // port-death notifications (MsgIDPortDeleted).
 func NewSpace(host machine.HostID, topo *machine.Topology) *Space {
 	s := &Space{
-		host:   host,
-		topo:   topo,
-		met:    obs.IPCHost(int(host)),
-		wakeCh: make(chan struct{}),
+		host: host,
+		topo: topo,
+		met:  obs.IPCHost(int(host)),
 	}
 	s.trimFn = func(uint32) { s.trimReplyPool() }
 	for i := range s.shards {
 		s.shards[i].names = make(map[Name]*entry)
-		s.shards[i].enabled = make(map[Name]bool)
 	}
 	for i := range s.ports {
 		s.ports[i].m = make(map[*Port]Name)
@@ -229,9 +207,6 @@ func NewSpace(host machine.HostID, topo *machine.Topology) *Space {
 		panic("ipc: cannot allocate notify port: " + err.Error())
 	}
 	s.notify = n
-	if err := s.Enable(n); err != nil {
-		panic("ipc: cannot enable notify port: " + err.Error())
-	}
 	return s
 }
 
@@ -397,33 +372,6 @@ func (s *Space) putReplyPort(n Name, p *Port) {
 	_ = s.DeallocatePort(n)
 }
 
-// wakeAll wakes every thread blocked in a receive-any on this space.
-// With no thread inside receiveAny it is a single atomic load: a
-// receive-any waiter increments anyParked (sequentially consistent)
-// before it scans any port queue, and state changes that warrant a
-// wakeup (enqueue, dead flags, name-table edits) are published under
-// the locks the scan reads — so a sender observing anyParked == 0 knows
-// any future scan will see its change directly, and skips the channel
-// churn.
-func (s *Space) wakeAll() {
-	if s.anyParked.Load() == 0 {
-		return
-	}
-	s.wakeMu.Lock()
-	close(s.wakeCh)
-	s.wakeCh = make(chan struct{})
-	s.wakeMu.Unlock()
-}
-
-// wakeChan returns the channel a receive-any should wait on; it is closed
-// at the next wakeAll.
-func (s *Space) wakeChan() <-chan struct{} {
-	s.wakeMu.Lock()
-	ch := s.wakeCh
-	s.wakeMu.Unlock()
-	return ch
-}
-
 // allocName reserves an unused name in the shard. Caller holds sh.mu.
 func (sh *nameShard) allocName(idx uint32) Name {
 	for {
@@ -511,15 +459,10 @@ func (s *Space) DeallocatePort(n Name) error {
 		return nil
 	}
 	delete(sh.names, n)
-	delete(sh.enabled, n)
 	sh.mu.Unlock()
 
 	if e.set != nil {
-		if e.set.destroy(ErrPortDied) {
-			// An orphaned member had queued messages; direct and
-			// receive-any receivers can take them now.
-			s.wakeAll()
-		}
+		e.set.destroy(ErrPortDied)
 		return nil
 	}
 
@@ -541,73 +484,12 @@ func (s *Space) DeallocatePort(n Name) error {
 	return nil
 }
 
-// Enable adds the named port to the default group consulted by
-// Receive(ReceiveAny, ...) (port_enable). The space must hold the receive
-// right.
-func (s *Space) Enable(n Name) error {
-	sh := s.shardFor(n)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.names[n]
-	if !ok {
-		return ErrInvalidPort
-	}
-	if e.rights&ReceiveRight == 0 {
-		return ErrNotReceiver
-	}
-	sh.enabled[n] = true
-	return nil
-}
-
-// Disable removes the named port from the default receive group
-// (port_disable).
-func (s *Space) Disable(n Name) error {
-	sh := s.shardFor(n)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.names[n]; !ok {
-		return ErrInvalidPort
-	}
-	delete(sh.enabled, n)
-	return nil
-}
-
-// EnabledWithMessages returns the enabled ports that currently have
-// queued messages (port_messages).
-func (s *Space) EnabledWithMessages() []Name {
-	var out []Name
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		type cand struct {
-			n Name
-			p *Port
-		}
-		cands := make([]cand, 0, len(sh.enabled))
-		for n := range sh.enabled {
-			if e, ok := sh.names[n]; ok {
-				cands = append(cands, cand{n, e.port})
-			}
-		}
-		sh.mu.RUnlock()
-		for _, c := range cands {
-			// Members of a port set are not receivable here; their
-			// queues belong to the set.
-			if c.p.currentSet() == nil && c.p.queued() > 0 {
-				out = append(out, c.n)
-			}
-		}
-	}
-	return out
-}
-
 // Status returns queue and right information for the named port
 // (port_status).
 func (s *Space) Status(n Name) (PortStatus, error) {
 	sh := s.shardFor(n)
 	sh.mu.RLock()
 	e, ok := sh.names[n]
-	enabled := sh.enabled[n]
 	var rights Right
 	if ok {
 		rights = e.rights
@@ -619,7 +501,6 @@ func (s *Space) Status(n Name) (PortStatus, error) {
 	depth, backlog, dead := e.port.status()
 	return PortStatus{
 		HasReceive: rights&ReceiveRight != 0,
-		Enabled:    enabled,
 		NumMsgs:    depth,
 		Backlog:    backlog,
 		Dead:       dead,
@@ -792,8 +673,6 @@ func (s *Space) notifyPortDeath(p *Port) {
 	}
 	sh := s.shardFor(n)
 	sh.mu.Lock()
-	// Dead names never match a receive-any scan.
-	delete(sh.enabled, n)
 	var dnNotify Name
 	var gen uint32
 	if e, live := sh.names[n]; live && e.dnNotify != 0 {
@@ -982,7 +861,6 @@ func (s *Space) Destroy() {
 			entries = append(entries, e)
 		}
 		sh.names = make(map[Name]*entry)
-		sh.enabled = make(map[Name]bool)
 		sh.mu.Unlock()
 	}
 	for i := range s.ports {
@@ -1017,5 +895,4 @@ func (s *Space) Destroy() {
 			e.port.destroy()
 		}
 	}
-	s.wakeAll()
 }

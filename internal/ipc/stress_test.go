@@ -84,7 +84,7 @@ func TestSpaceStressConcurrentOps(t *testing.T) {
 	// Drain the port-death notifications the churn produced; every one
 	// must decode to a valid (non-zero) name.
 	for {
-		m, err := other.Receive(ReceiveAny, ReceiveOptions{NonBlocking: true})
+		m, err := other.Receive(other.NotifyPort(), ReceiveOptions{NonBlocking: true})
 		if err != nil {
 			break
 		}

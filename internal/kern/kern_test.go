@@ -435,7 +435,7 @@ func TestTaskTerminateNotifiesPeers(t *testing.T) {
 	p, _ := server.Space.Resolve(svc)
 	clientTask.Space.InsertRight(p, ipc.SendRight)
 	server.Terminate()
-	m, err := clientTask.Receive(ipc.ReceiveAny, ipc.ReceiveOptions{Timeout: time.Second})
+	m, err := clientTask.Receive(clientTask.Space.NotifyPort(), ipc.ReceiveOptions{Timeout: time.Second})
 	if err != nil || m.ID != ipc.MsgIDPortDeleted {
 		t.Fatalf("peer not notified: %v %+v", err, m)
 	}

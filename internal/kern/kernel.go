@@ -166,7 +166,7 @@ func (k *Kernel) bootDefaultPager(store pager.BlockStore) {
 	if err != nil {
 		panic("kern: default pager bootstrap: " + err.Error())
 	}
-	if err := k.dpSpace.Enable(boot); err != nil {
+	if err := k.dpMgr.Adopt(boot); err != nil {
 		panic("kern: default pager bootstrap: " + err.Error())
 	}
 	bootPort, err := k.dpSpace.Resolve(boot)
@@ -193,8 +193,9 @@ func (k *Kernel) DefaultPager() *pager.DefaultPager { return k.dp }
 // NetMsg returns the host's network message server.
 func (k *Kernel) NetMsg() *netmsg.Server { return k.nm }
 
-// Shutdown stops the pageout daemon and the default pager. Tasks are
-// terminated.
+// Shutdown terminates the tasks, stops the network message server and
+// the default pager — waiting for the pager's loop to return — and then
+// the pageout daemon.
 func (k *Kernel) Shutdown() {
 	k.mu.Lock()
 	tasks := make([]*Task, 0, len(k.tasks))

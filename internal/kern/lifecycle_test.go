@@ -1,6 +1,8 @@
 package kern
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,4 +66,37 @@ func TestTaskPortRetiredWhenUnreferenced(t *testing.T) {
 	}
 	holder2.Terminate()
 	victim.Terminate()
+}
+
+// managerLoops counts the goroutines whose stack is inside, or about to
+// enter, a pager manager's service loop.
+func managerLoops() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "pager.(*Manager).Run(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestShutdownLeavesNoManagerLoop boots and shuts down kernels in a loop
+// and checks that no default-pager loop outlives its kernel: Shutdown
+// joins the loop. A loop whose goroutine had not started by Shutdown
+// returns as soon as it does, so the count is retried for up to a
+// second.
+func TestShutdownLeavesNoManagerLoop(t *testing.T) {
+	before := managerLoops()
+	for i := 0; i < 1000; i++ {
+		NewKernel(Config{Frames: 16, PageSize: pgsz}).Shutdown()
+	}
+	var left int
+	for wait := time.Millisecond; wait < time.Second; wait *= 2 {
+		if left = managerLoops() - before; left <= 0 {
+			return
+		}
+		time.Sleep(wait)
+	}
+	t.Fatalf("%d manager loops outlived their kernels", left)
 }

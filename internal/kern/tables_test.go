@@ -47,8 +47,9 @@ func TestTable31MessagePrimitives(t *testing.T) {
 	}
 }
 
-// TestTable32PortOperations: port_allocate, port_deallocate, port_enable,
-// port_disable, port_messages, port_status, port_set_backlog.
+// TestTable32PortOperations: port_allocate, port_deallocate, port_status,
+// port_set_backlog, and the port-set calls that replaced port_enable,
+// port_disable and port_messages in Mach's later interface.
 func TestTable32PortOperations(t *testing.T) {
 	k := newTestKernel(t)
 	task := k.NewTask()
@@ -61,27 +62,32 @@ func TestTable32PortOperations(t *testing.T) {
 	if err := task.Space.SetBacklog(port, 3); err != nil {
 		t.Fatalf("port_set_backlog: %v", err)
 	}
-	// port_enable(task, port)
-	if err := task.Space.Enable(port); err != nil {
-		t.Fatalf("port_enable: %v", err)
+	// port_set_allocate + port_set_add: the receive point for many ports.
+	set, err := task.Space.AllocatePortSet()
+	if err != nil {
+		t.Fatalf("port_set_allocate: %v", err)
 	}
-	// port_messages(task, ports, ports_count)
+	if err := task.Space.MoveToPortSet(set, port); err != nil {
+		t.Fatalf("port_set_add: %v", err)
+	}
+	if got, err := task.Space.PortSetMembers(set); err != nil || len(got) != 1 || got[0] != port {
+		t.Fatalf("port_set_status: %v %v", got, err)
+	}
 	_ = task.Send(&ipc.Message{RemotePort: port}, ipc.SendOptions{})
-	withMsgs := task.Space.EnabledWithMessages()
-	if len(withMsgs) != 1 || withMsgs[0] != port {
-		t.Fatalf("port_messages: %v", withMsgs)
-	}
 	// port_status(task, port, ...)
 	st, err := task.Space.Status(port)
-	if err != nil || !st.HasReceive || st.NumMsgs != 1 || st.Backlog != 3 || !st.Enabled {
+	if err != nil || !st.HasReceive || st.NumMsgs != 1 || st.Backlog != 3 {
 		t.Fatalf("port_status: %+v %v", st, err)
 	}
-	// port_disable(task, port)
-	if err := task.Space.Disable(port); err != nil {
-		t.Fatalf("port_disable: %v", err)
+	if m, err := task.Receive(set, ipc.ReceiveOptions{NonBlocking: true}); err != nil || m.LocalPort != port {
+		t.Fatalf("receive on set: %v %+v", err, m)
 	}
-	if got := task.Space.EnabledWithMessages(); len(got) != 0 {
-		t.Fatalf("disabled port still in default group: %v", got)
+	// port_set_remove: the port is back on direct receive.
+	if err := task.Space.RemoveFromPortSet(set, port); err != nil {
+		t.Fatalf("port_set_remove: %v", err)
+	}
+	if _, err := task.Receive(port, ipc.ReceiveOptions{NonBlocking: true}); err != ipc.ErrWouldBlock {
+		t.Fatalf("direct receive after port_set_remove: %v", err)
 	}
 	// port_deallocate(task, port)
 	if err := task.Space.DeallocatePort(port); err != nil {

@@ -17,10 +17,10 @@
 //   - Run (own goroutine): receives on the space's notify port. Use for
 //     spaces where no other loop consumes notifications (plain
 //     rpc.Server tasks).
-//   - Dispatch (embedded): servers whose manager loop receives with
-//     ReceiveAny — fs, netmem, camelot — chain the watcher ahead of
-//     their application demux: Default = func(m) { if !w.Dispatch(m) {
-//     srv.Dispatch(m) } }.
+//   - Dispatch (embedded): a pager manager's port set holds the
+//     space's notify port, so servers built on one — fs, netmem,
+//     camelot — chain the watcher ahead of their application demux:
+//     Default = func(m) { if !w.Dispatch(m) { srv.Dispatch(m) } }.
 package lifecycle
 
 import (
@@ -204,8 +204,9 @@ func (w *Watcher) Chain(next func(*ipc.Message)) func(*ipc.Message) {
 
 // Run receives on the space's notify port and dispatches until Stop is
 // called or the space dies. Only use it when no other loop receives the
-// space's notifications (a manager loop's ReceiveAny would race it);
-// embedded servers use Dispatch instead.
+// space's notifications: in a pager manager's space the notify port is
+// a member of the manager's port set, and a direct receive fails with
+// ipc.ErrInSet. Embedded servers use Dispatch instead.
 func (w *Watcher) Run() {
 	notify := w.space.NotifyPort()
 	for {

@@ -127,10 +127,16 @@ func TestMigratePrePaging(t *testing.T) {
 	}
 	defer mig.Stop()
 
-	// Wait for pre-paging to finish.
+	// Wait until the destination kernel has applied every pre-paged
+	// page. Counting the manager's sends is not enough: the kernel
+	// applies them asynchronously, and a read that ran first would fault
+	// and make a demand request.
 	deadline := time.Now().Add(5 * time.Second)
-	for mig.Stats().PagesPrePaged < npages && time.Now().Before(deadline) {
+	for dst.Statistics().Pageins < npages && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
+	}
+	if got := dst.Statistics().Pageins; got != npages {
+		t.Fatalf("destination paged in %d, want %d", got, npages)
 	}
 	if got := mig.Stats().PagesPrePaged; got != npages {
 		t.Fatalf("pre-paged %d, want %d", got, npages)

@@ -132,12 +132,6 @@ func NewServer(k *kern.Kernel) (*Server, error) {
 		byObject:  make(map[ipc.Name]*region),
 	}
 	s.mgr = pager.NewManager(s.task.Space, (*handler)(s))
-	// Region object ports, ack ports, the notify port and the service
-	// port all join the manager's port set: one receive point, fair
-	// rotation, one goroutine.
-	if err := s.mgr.UsePortSet(); err != nil {
-		return nil, err
-	}
 	srv, err := rpc.NewServer(s.task.Space)
 	if err != nil {
 		return nil, err
@@ -401,6 +395,9 @@ func (h *handler) dispatch(r *region, p *pageState, ev pendingEvent) {
 	}
 	s := h.srv()
 	ps := s.pageSize()
+	// Each serve or grant is counted before it is sent: the faulting
+	// task can return, and read the stats, as soon as its kernel
+	// applies the answer.
 	switch ev.kind {
 	case evRead:
 		if p.writer != nil && p.writer != ev.mo {
@@ -419,11 +416,11 @@ func (h *handler) dispatch(r *region, p *pageState, ev pendingEvent) {
 		// Multiple readers allowed: provide with a write lock (§4.2
 		// "the server applies a write lock on the data as it is
 		// returned").
-		p.readers[ev.mo] = true
-		_ = ev.mo.DataProvided(ev.off, p.data, vm.ProtWrite)
 		s.mu.Lock()
 		s.stats.ReadServes++
 		s.mu.Unlock()
+		p.readers[ev.mo] = true
+		_ = ev.mo.DataProvided(ev.off, p.data, vm.ProtWrite)
 	case evWrite:
 		// A write fault on an uncached page: revoke everyone, then
 		// provide with no lock.
@@ -444,11 +441,11 @@ func (h *handler) dispatch(r *region, p *pageState, ev pendingEvent) {
 			p.waiters = append(p.waiters, ev)
 			return
 		}
-		p.writer = ev.mo
-		_ = ev.mo.DataProvided(ev.off, p.data, vm.ProtNone)
 		s.mu.Lock()
 		s.stats.WriteGrants++
 		s.mu.Unlock()
+		p.writer = ev.mo
+		_ = ev.mo.DataProvided(ev.off, p.data, vm.ProtNone)
 	case evUnlock:
 		// A reader wants to write its cached copy: invalidate all the
 		// OTHER uses, then grant with pager_data_lock (§4.2's final
@@ -470,12 +467,12 @@ func (h *handler) dispatch(r *region, p *pageState, ev pendingEvent) {
 			p.waiters = append(p.waiters, ev)
 			return
 		}
-		delete(p.readers, ev.mo)
-		p.writer = ev.mo
-		_ = ev.mo.DataLock(ev.off, ps, vm.ProtNone)
 		s.mu.Lock()
 		s.stats.WriteGrants++
 		s.mu.Unlock()
+		delete(p.readers, ev.mo)
+		p.writer = ev.mo
+		_ = ev.mo.DataLock(ev.off, ps, vm.ProtNone)
 	}
 }
 

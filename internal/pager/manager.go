@@ -1,6 +1,8 @@
 package pager
 
 import (
+	"bytes"
+	"runtime"
 	"sync"
 	"time"
 
@@ -191,6 +193,12 @@ type Handler interface {
 // kernel's calls on the task's memory object ports and dispatches them to
 // a Handler. Application-level messages (anything that is not a pager
 // call) go to Default.
+//
+// The loop receives on one port set, the paper's server shape (§4-§5):
+// the space's notify port, every object port, and whatever the owner
+// Adopts (an embedded rpc service port, an ack port) are its members,
+// drained with fair round-robin so a flooded port cannot starve the
+// rest.
 type Manager struct {
 	// Space is the manager task's port name space.
 	Space *ipc.Space
@@ -200,66 +208,51 @@ type Manager struct {
 	// own service protocol).
 	Default func(*ipc.Message)
 
+	// set is the port set Run receives on; zero only when the space
+	// was already dead at NewManager.
+	set ipc.Name
+
 	mu        sync.Mutex
 	byPort    map[ipc.Name]*MemoryObject // memory object port -> object
 	byRequest map[ipc.Name]*MemoryObject // request port -> object
-	stopped   bool
-
-	// set, when non-zero, is the port set the service loop receives
-	// from instead of scanning the default group (see UsePortSet).
-	set ipc.Name
+	// stopped keeps a Run that starts after Stop or Quiesce from
+	// serving; a running loop learns of either from its receive.
+	stopped bool
+	// done is closed when Run returns, and loop is the goroutine running
+	// it; both are zero until Run starts. Stop and Quiesce wait on done
+	// unless the loop itself calls them.
+	done chan struct{}
+	loop uint64
 }
 
 // NewManager wraps a space and handler into a manager service loop
-// context. Call Run (usually in its own goroutine) to start serving.
+// context and moves the space's notify port into the loop's port set.
+// Call Run (usually in its own goroutine) to start serving.
 func NewManager(space *ipc.Space, h Handler) *Manager {
-	return &Manager{
+	m := &Manager{
 		Space:     space,
 		Handler:   h,
 		byPort:    make(map[ipc.Name]*MemoryObject),
 		byRequest: make(map[ipc.Name]*MemoryObject),
 	}
-}
-
-// UsePortSet switches the service loop from the default-group scan
-// (ReceiveAny) to a kernel port set: the space's notify port moves into
-// the set immediately, object ports join it as they are created, and
-// Run receives from the set with fair round-robin across the members —
-// one receive point for many ports, the paper's server shape, with a
-// flooded object port unable to starve the rest. Call it right after
-// NewManager, before Run and before the first NewObject. Ports enabled
-// on the space by OTHER code stop reaching the loop (a set receive sees
-// only members); adopt them with Adopt — the embedded rpc service port
-// of fs/netmem/camelot-style servers is the usual case.
-func (m *Manager) UsePortSet() error {
-	set, err := m.Space.AllocatePortSet()
-	if err != nil {
-		return err
+	// Both calls fail only on a dead space, where Run returns at once.
+	if set, err := space.AllocatePortSet(); err == nil {
+		m.set = set
+		_ = space.MoveToPortSet(set, space.NotifyPort())
 	}
-	m.mu.Lock()
-	m.set = set
-	m.mu.Unlock()
-	return m.Space.MoveToPortSet(set, m.Space.NotifyPort())
+	return m
 }
 
 // Adopt moves a receive right (a service port, an ack port) into the
-// manager's port set so its messages reach the Run loop. No-op details:
-// in default-group mode it falls back to Enable, so callers need not
-// care which mode the manager runs in.
+// manager's port set so its messages reach the Run loop.
 func (m *Manager) Adopt(n ipc.Name) error {
-	m.mu.Lock()
-	set := m.set
-	m.mu.Unlock()
-	if set == 0 {
-		return m.Space.Enable(n)
-	}
-	return m.Space.MoveToPortSet(set, n)
+	return m.Space.MoveToPortSet(m.set, n)
 }
 
-// NewObject allocates a fresh memory object port, enables it for the
-// service loop (or moves it into the manager's port set), and registers
-// it. The returned MemoryObject has no request port until a kernel maps
-// it (PagerInit). The send right to hand to clients is the Port name.
+// NewObject allocates a fresh memory object port, moves it into the
+// manager's port set, and registers it. The returned MemoryObject has no
+// request port until a kernel maps it (PagerInit). The send right to
+// hand to clients is the Port name.
 func (m *Manager) NewObject(tag any) (*MemoryObject, error) {
 	n, err := m.Space.AllocatePort()
 	if err != nil {
@@ -308,53 +301,72 @@ func (m *Manager) Remove(mo *MemoryObject) {
 	}
 }
 
-// Stop makes Run return after its next message.
+// Stop makes Run return, destroys the manager's space and waits for
+// Run to finish the message it is serving.
 func (m *Manager) Stop() {
 	m.mu.Lock()
 	m.stopped = true
 	m.mu.Unlock()
 	m.Space.Destroy()
+	m.join()
 }
 
 // Quiesce makes Run return without destroying the space, so the rights
 // the manager's owner still holds — the reply ports of requests it
-// answers later — stay usable until Stop. It needs the port set
-// (UsePortSet): destroying the set is what wakes a blocked Run.
+// answers later — stay usable until Stop. Destroying the port set is
+// what wakes a blocked Run. Like Stop, it waits for Run to return.
 func (m *Manager) Quiesce() {
 	m.mu.Lock()
 	m.stopped = true
-	set := m.set
 	m.mu.Unlock()
-	if set != 0 {
-		_ = m.Space.DeallocatePort(set) // fails only if the space already died, which ends Run too
+	_ = m.Space.DeallocatePort(m.set) // fails only if the space already died, which ends Run too
+	m.join()
+}
+
+// join waits for a started Run to return. A handler that stops its own
+// manager runs on the loop's goroutine and must not wait for itself.
+func (m *Manager) join() {
+	m.mu.Lock()
+	done, loop := m.done, m.loop
+	m.mu.Unlock()
+	if done != nil && loop != goid() {
+		<-done
 	}
 }
 
-// Run is the manager service loop: it receives on every enabled port of
-// the space — or on the manager's port set, after UsePortSet — and
-// dispatches pager calls to the Handler. It returns when the space is
-// destroyed.
+// goid returns the calling goroutine's id, read from the header line of
+// its stack trace ("goroutine 42 [running]:").
+func goid() uint64 {
+	var buf [32]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id := uint64(0)
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + uint64(c-'0')
+	}
+	return id
+}
+
+// Run is the manager service loop: it receives on the manager's port set
+// and dispatches pager calls to the Handler. It returns after Stop or
+// Quiesce, when the space is destroyed, or when the set has no member
+// left — nothing can arrive then.
 func (m *Manager) Run() {
-	for {
-		m.mu.Lock()
-		stopped := m.stopped
-		src := m.set
+	done := make(chan struct{})
+	defer close(done)
+	m.mu.Lock()
+	if m.stopped {
 		m.mu.Unlock()
-		if stopped {
-			return
-		}
-		msg, err := m.Space.Receive(src, ipc.ReceiveOptions{})
-		if err == ipc.ErrSpaceDead || err == ipc.ErrPortDied {
-			// The space died, or the port set was torn down with it.
-			return
-		}
-		if src != 0 && err == ipc.ErrNoEnabledPorts {
-			// The set emptied (every member died): nothing can ever
-			// arrive again, so returning beats spinning.
-			return
-		}
+		return
+	}
+	m.done, m.loop = done, goid()
+	m.mu.Unlock()
+	for {
+		msg, err := m.Space.Receive(m.set, ipc.ReceiveOptions{})
 		if err != nil {
-			continue
+			return
 		}
 		m.Dispatch(msg)
 	}

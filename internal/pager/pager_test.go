@@ -147,7 +147,6 @@ func TestDefaultPagerStoresAndServes(t *testing.T) {
 	// Sink space standing in for the kernel's request port.
 	kernelSide := ipc.NewSpace(0, nil)
 	reqName, _ := kernelSide.AllocatePort()
-	kernelSide.Enable(reqName)
 	reqPort, _ := kernelSide.Resolve(reqName)
 	mo.Request, _ = space.InsertRight(reqPort, ipc.SendRight)
 
@@ -221,7 +220,9 @@ func TestManagerDefaultDispatch(t *testing.T) {
 	other := make(chan *ipc.Message, 1)
 	mgr.Default = func(m *ipc.Message) { other <- m }
 	svc, _ := space.AllocatePort()
-	space.Enable(svc)
+	if err := mgr.Adopt(svc); err != nil {
+		t.Fatal(err)
+	}
 	go mgr.Run()
 	defer mgr.Stop()
 
@@ -235,6 +236,69 @@ func TestManagerDefaultDispatch(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("application message not dispatched to Default")
+	}
+}
+
+// Stop waits for the message Run is serving, and a handler that stops
+// its own manager returns instead of waiting for itself.
+func TestStopJoinsRun(t *testing.T) {
+	space := ipc.NewSpace(0, nil)
+	mgr := NewManager(space, NopHandler{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	mgr.Default = func(*ipc.Message) {
+		close(entered)
+		<-release
+	}
+	svc, _ := space.AllocatePort()
+	if err := mgr.Adopt(svc); err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan struct{})
+	go func() {
+		mgr.Run()
+		close(ran)
+	}()
+	if err := space.Send(&ipc.Message{ID: 1, RemotePort: svc}, ipc.SendOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	stopped := make(chan struct{})
+	go func() {
+		mgr.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while Run was serving a message")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-stopped
+	select {
+	case <-ran:
+	default:
+		t.Fatal("Run still running after Stop returned")
+	}
+
+	space = ipc.NewSpace(0, nil)
+	mgr = NewManager(space, NopHandler{})
+	mgr.Default = func(*ipc.Message) { mgr.Stop() }
+	svc, _ = space.AllocatePort()
+	if err := mgr.Adopt(svc); err != nil {
+		t.Fatal(err)
+	}
+	ran = make(chan struct{})
+	go func() {
+		mgr.Run()
+		close(ran)
+	}()
+	if err := space.Send(&ipc.Message{ID: 2, RemotePort: svc}, ipc.SendOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a handler stopping its own manager deadlocked")
 	}
 }
 
@@ -252,7 +316,6 @@ func TestDefaultPagerAnswersTheHeldPrefix(t *testing.T) {
 	dp.PagerCreate(mo)
 	kernelSide := ipc.NewSpace(0, nil)
 	reqName, _ := kernelSide.AllocatePort()
-	kernelSide.Enable(reqName)
 	reqPort, _ := kernelSide.Resolve(reqName)
 	mo.Request, _ = space.InsertRight(reqPort, ipc.SendRight)
 	next := func() (ipc.MsgID, uint64, uint64, []byte) {

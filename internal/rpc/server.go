@@ -91,14 +91,14 @@ func (r *Reply) CarryRelease(sec ipc.Section) *Reply {
 //   - Own loop: call Run (usually `go srv.Run()`); it receives on the
 //     service port until Stop, optionally fanning requests out to a
 //     worker pool.
-//   - Embedded: servers built on pager.Manager keep the manager's
-//     receive loop and install Dispatch as the manager's Default, so
-//     pager calls and service calls share one thread.
+//   - Embedded: servers built on pager.Manager Adopt the service port
+//     into the manager's port set and install Dispatch as the manager's
+//     Default, so pager calls and service calls share one thread.
 type Server struct {
 	// Space is the server task's port name space.
 	Space *ipc.Space
-	// Port is the service port name in Space (allocated and enabled by
-	// NewServer); publish a send right to clients with CopySendRight.
+	// Port is the service port name in Space (allocated by NewServer);
+	// publish a send right to clients with CopySendRight.
 	Port ipc.Name
 
 	handlers map[ipc.MsgID]HandlerFunc
@@ -133,15 +133,12 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// NewServer allocates and enables a fresh service port on space and
-// returns a server demuxing it. Register handlers with Handle before
+// NewServer allocates a fresh service port on space and returns a
+// server demuxing it. Register handlers with Handle before
 // serving requests.
 func NewServer(space *ipc.Space, opts ...Option) (*Server, error) {
 	port, err := space.AllocatePort()
 	if err != nil {
-		return nil, err
-	}
-	if err := space.Enable(port); err != nil {
 		return nil, err
 	}
 	s := &Server{

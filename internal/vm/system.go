@@ -250,6 +250,8 @@ func (s *System) ObjectDeref(o *Object) {
 
 // terminateObject releases every cached page (cleaning dirty ones back to
 // the manager) and tells the pager the kernel is done with the object.
+// The manager can fail (ObjectFailed) while termination waits for a busy
+// page; its dirty pages then have nowhere to go and are dropped.
 func (s *System) terminateObject(o *Object) {
 	type writeback struct {
 		offset uint64
@@ -273,13 +275,18 @@ func (s *System) terminateObject(o *Object) {
 			data := make([]byte, s.PageSize())
 			copy(data, s.frames.Bytes(p.frame))
 			wbs = append(wbs, writeback{p.offset, data})
-			s.stats.Pageouts++
 		}
 		s.freePageLocked(p)
 	}
 	shadow := o.shadow
 	o.shadow = nil
+	// Read after the last wait: a pager that failed during one took the
+	// pages collected before it down with it.
 	pager := o.pager
+	if pager == nil {
+		wbs = nil
+	}
+	s.stats.Pageouts += int64(len(wbs))
 	s.mu.Unlock()
 
 	for _, wb := range wbs {

@@ -853,6 +853,67 @@ func TestTerminateWritesDirtyPagesBack(t *testing.T) {
 	}
 }
 
+// TestTerminateAfterPagerFailedDropsDirtyPages is the regression test
+// for termination racing ObjectFailed. Termination collects a dirty page
+// for write-back, then waits on a busy page; the manager fails meanwhile
+// and ObjectFailed clears the object's pager. Termination must drop the
+// collected page rather than write it to a pager that is gone (it used
+// to call DataWrite on the nil pager and panic).
+func TestTerminateAfterPagerFailedDropsDirtyPages(t *testing.T) {
+	s := newTestSystem(t)
+	fp := newFakePager(s)
+	fp.seed(0, 0x01)
+	fp.seed(testPageSize, 0x02)
+	obj := s.NewExternalObject(fp, 2*testPageSize)
+	m := s.NewMap(mapLo, mapHi)
+	addr, err := m.AllocateWithObject(obj, 0, 0, 2*testPageSize, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Page 1 is faulted in first, so the dirty page 0 heads the object's
+	// page list and is collected before termination reaches page 1.
+	var b [1]byte
+	if err := m.ReadBytes(addr+testPageSize, b[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteBytes(addr, []byte{0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	busy := s.hash.lookup(obj, testPageSize)
+	busy.busy = true
+	s.mu.Unlock()
+
+	go func() {
+		// Termination holds s.mu from marking the object destroyed
+		// until it waits, so seeing the busy page alone on the list
+		// means it has collected page 0 and is parked on s.cond.
+		for {
+			s.mu.Lock()
+			parked := obj.destroyed && obj.pages == busy && busy.objNext == nil
+			s.mu.Unlock()
+			if parked {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		s.ObjectFailed(obj, nil)
+		s.mu.Lock()
+		busy.busy = false
+		s.mu.Unlock()
+		s.cond.Broadcast()
+	}()
+	if err := m.Deallocate(addr, 2*testPageSize); err != nil {
+		t.Fatal(err)
+	}
+	if n := fp.writeCount(); n != 0 {
+		t.Fatalf("%d write-backs to a failed pager", n)
+	}
+	if st := s.Stats(); st.Pageouts != 0 {
+		t.Fatalf("pageouts %d, want 0", st.Pageouts)
+	}
+}
+
 func TestRegionsAndStatistics(t *testing.T) {
 	s := newTestSystem(t)
 	m := s.NewMap(mapLo, mapHi)

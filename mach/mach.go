@@ -166,11 +166,10 @@ type (
 	ReceiveOptions = ipc.ReceiveOptions
 )
 
-// Rights and the receive-any sentinel.
+// Rights.
 const (
 	SendRight    = ipc.SendRight
 	ReceiveRight = ipc.ReceiveRight
-	ReceiveAny   = ipc.ReceiveAny
 )
 
 // Message body constructors.
@@ -204,10 +203,10 @@ type Slab = ipc.Slab
 // the members with fair round-robin rotation. Members keep their own
 // queues and backlogs (per-port backpressure is untouched); a member's
 // messages arrive ONLY through the set (direct receives answer
-// ErrInSet, receive-any skips members), so a message is never delivered
-// twice. RPCServer.ServePorts serves several services from one
-// goroutine over a set; pager managers (fs, netmem, camelot) multiplex
-// their object ports the same way.
+// ErrInSet), so a message is never delivered twice. A set is the only
+// way to receive from more than one port. RPCServer.ServePorts serves
+// several services from one goroutine over a set; every pager manager
+// multiplexes its object, notify and service ports the same way.
 
 // Port-set errors.
 var (
