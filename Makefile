@@ -54,8 +54,10 @@ race:
 # out-of-line transfers through the shared transit map, the concurrent
 # vm model, the camelot commit path with an fsync held (a commit
 # overlapping another client's appends; Close with a commit in flight),
-# kernel shutdown joining its default-pager loop, and migration
-# pre-paging against a destination that applies pages asynchronously
+# kernel shutdown joining its default-pager loop, migration pre-paging
+# against a destination that applies pages asynchronously, the frame
+# grants of page-in (every way a grant is settled gives its frames back,
+# and none crosses a host) and out-of-line messages that die undelivered
 # — on one, two and four processors. A cold first iteration often
 # passes where the tenth does not.
 stress:
@@ -64,6 +66,9 @@ stress:
 	$(GO) test -run 'TestDurableCommitOverlapsHeldFsync|TestDurableCloseAnswersHeldCommit' -cpu 1,2,4 -count=20 ./internal/camelot
 	$(GO) test -run 'TestShutdownLeavesNoManagerLoop' -cpu 1,2,4 -count=20 ./internal/kern
 	$(GO) test -run 'TestMigratePrePaging' -cpu 1,2,4 -count=20 ./internal/migrate
+	$(GO) test -run 'TestProvideRangeFillsGrant|TestGrantFramesComeBack' -cpu 1,2,4 -count=20 ./internal/pager
+	$(GO) test -run 'TestGrant|TestHoardingManagerIsBounded|TestPVListKeepsCapacity' -cpu 1,2,4 -count=20 ./internal/vm
+	$(GO) test -run 'TestDroppedOOLMessageReleasesTransit|TestGrantStaysOnItsHost|TestFSFileReadThroughGrant' -cpu 1,2,4 -count=20 ./internal/kern
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecode -fuzztime=5s ./internal/rpc

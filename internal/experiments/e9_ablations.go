@@ -178,7 +178,7 @@ func key(obj *vm.Object, off uint64) string { return fmt.Sprintf("%d/%d", obj.ID
 
 func (d *directStore) Init(obj *vm.Object) {}
 
-func (d *directStore) DataRequest(obj *vm.Object, offset, length uint64, desired vm.Prot) {
+func (d *directStore) DataRequest(obj *vm.Object, offset, length uint64, desired vm.Prot, _ *vm.FrameGrant) {
 	d.mu.Lock()
 	data, ok := d.pages[key(obj, offset)]
 	d.mu.Unlock()

@@ -53,11 +53,26 @@ const (
 
 // OutOfLineRegion is an opaque handle to memory carried out-of-line in a
 // message. The vm/kern layers implement it; the IPC layer only needs its
-// size for accounting. Transfer cost is charged when the receiver touches
-// the pages, not here — that asymmetry is the paper's point.
+// size for accounting, and a way to give the memory back when the
+// message carrying it is never delivered. Transfer cost is charged when
+// the receiver touches the pages, not here — that asymmetry is the
+// paper's point.
 type OutOfLineRegion interface {
 	// Size returns the region length in bytes.
 	Size() int
+	// Discard releases the memory of a region nobody will map: the
+	// message carrying it could not be sent, or died queued on a
+	// destroyed port. A region is mapped or discarded once; later
+	// calls do nothing.
+	Discard()
+}
+
+// wirePricedRegion is a region that sets its own interconnect charge in
+// place of the fixed descriptor size. A region that stands in for
+// inline bytes (vm.FrameGrant) is charged as those bytes, so the
+// simulated machine pays for the copy the host no longer makes.
+type wirePricedRegion interface {
+	WireSize() int
 }
 
 // Section is one typed item in a message body.
@@ -152,7 +167,11 @@ func (m *Message) wireSize() int {
 		case PortRightSection:
 			n += 8
 		case OutOfLineSection:
-			n += 32
+			if r, ok := m.Sections[i].Region.(wirePricedRegion); ok {
+				n += r.WireSize()
+			} else {
+				n += 32
+			}
 		}
 	}
 	return n
@@ -268,13 +287,14 @@ func (m *Message) addSendRefs() {
 	}
 }
 
-// destroyRights disposes of the rights an undeliverable message
-// carries: send-right transit references are dropped and receive rights
-// destroy their ports (an orphaned receive right could never be drained
-// or destroyed by anyone — Mach's semantics for rights destroyed in an
-// undeliverable message, which turn every other holder's name into a
-// dead name).
+// destroyRights disposes of the rights and regions an undeliverable
+// message carries: send-right transit references are dropped, receive
+// rights destroy their ports (an orphaned receive right could never be
+// drained or destroyed by anyone — Mach's semantics for rights destroyed
+// in an undeliverable message, which turn every other holder's name into
+// a dead name), and out-of-line regions are discarded.
 func (m *Message) destroyRights() {
+	m.discardRegions()
 	for i := range m.Sections {
 		sec := &m.Sections[i]
 		if sec.Kind != PortRightSection || sec.port == nil {
@@ -291,6 +311,17 @@ func (m *Message) destroyRights() {
 	if m.replyPort != nil {
 		m.replyPort.dropTransit()
 		m.replyPort = nil
+	}
+}
+
+// discardRegions gives back the memory of every out-of-line region the
+// message carries; it is how a message that is never delivered lets go
+// of its copy-on-write snapshots and lent frames.
+func (m *Message) discardRegions() {
+	for i := range m.Sections {
+		if sec := &m.Sections[i]; sec.Kind == OutOfLineSection && sec.Region != nil {
+			sec.Region.Discard()
+		}
 	}
 }
 

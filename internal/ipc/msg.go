@@ -96,14 +96,15 @@ func (s *Space) extractRights(n Name, r Right) (*Port, error) {
 // space must hold a send right. If m.LocalPort is non-zero, a send right
 // to that port travels with the message as the reply port. Port rights in
 // the body are transferred: send rights are copied, receive rights are
-// moved out of this space.
+// moved out of this space. A message that cannot be sent takes its
+// out-of-line regions with it: they are discarded, whatever the error.
 func (s *Space) Send(m *Message, opts SendOptions) error {
 	if s.dead.Load() {
-		return ErrSpaceDead
+		return m.refuse(ErrSpaceDead)
 	}
 	dest, err := s.lookupRight(m.RemotePort, SendRight)
 	if err != nil {
-		return err
+		return m.refuse(err)
 	}
 
 	// Instrumentation, inside the hard budget: the send counter is one
@@ -126,7 +127,7 @@ func (s *Space) Send(m *Message, opts SendOptions) error {
 	if m.LocalPort != 0 {
 		rp, err := s.lookupReplyRight(m.LocalPort)
 		if err != nil {
-			return err
+			return m.refuse(err)
 		}
 		m.replyPort = rp
 	} else {
@@ -156,7 +157,7 @@ func (s *Space) Send(m *Message, opts SendOptions) error {
 					prev.port.destroy()
 				}
 			}
-			return err
+			return m.refuse(err)
 		}
 		sec.port = p
 	}
@@ -178,6 +179,13 @@ func (s *Space) Send(m *Message, opts SendOptions) error {
 		// references just taken are dropped with them.
 		m.destroyRights()
 	}
+	return err
+}
+
+// refuse discards the regions of a message that failed before it could
+// be queued, and returns err.
+func (m *Message) refuse(err error) error {
+	m.discardRegions()
 	return err
 }
 
@@ -360,15 +368,16 @@ func (m *Message) SetReplyPort(p *Port) { m.replyPort = p }
 // sections must use CarryRawRight (names cannot be resolved). Carried
 // send rights take in-transit references exactly as Space.Send; on an
 // undeliverable message the rights are destroyed (receive rights) or
-// released (send references) before the error returns.
+// released (send references), and the regions discarded, before the
+// error returns.
 func RawSend(topo *machine.Topology, from machine.HostID, p *Port, m *Message, opts SendOptions) error {
 	if p == nil {
-		return ErrInvalidPort
+		return m.refuse(ErrInvalidPort)
 	}
 	for i := range m.Sections {
 		sec := &m.Sections[i]
 		if sec.Kind == PortRightSection && sec.port == nil {
-			return ErrInvalidPort
+			return m.refuse(ErrInvalidPort)
 		}
 	}
 	m.addSendRefs()

@@ -768,8 +768,9 @@ func (p *Port) destroy() {
 	if set != nil {
 		set.forgetPort(p, len(dropped))
 	}
-	// Dispose of rights carried by undelivered messages: receive rights
-	// destroy their ports, send rights drop their transit references.
+	// Dispose of what undelivered messages carry: receive rights
+	// destroy their ports, send rights drop their transit references,
+	// out-of-line regions are discarded.
 	for _, m := range dropped {
 		m.destroyRights()
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ipc"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/pager"
 	"repro/internal/vm"
 )
@@ -333,6 +334,7 @@ func TestCrossKernelPaging(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	copied := obs.VM().PageinBytesCopied.Load()
 	b0, err := c0.VMRead(a0, 1)
 	if err != nil || b0[0] != 0x42 {
 		t.Fatalf("host0 read %v %v", err, b0)
@@ -344,6 +346,11 @@ func TestCrossKernelPaging(t *testing.T) {
 	// The remote client's paging crossed the interconnect.
 	if topo.Stats().RemoteMessages == 0 {
 		t.Fatal("no remote messages for cross-kernel paging")
+	}
+	// Both pages came by copy: the manager answers with DataProvided,
+	// and a grant from host 1 never reaches it.
+	if n := obs.VM().PageinBytesCopied.Load() - copied; n != 2*pgsz {
+		t.Fatalf("page-ins copied %d bytes, want %d", n, 2*pgsz)
 	}
 }
 
@@ -555,7 +562,9 @@ func TestOOLCrossHostEagerAndCOR(t *testing.T) {
 	if rb := topo.Stats().RemoteBytes; rb > pgsz {
 		t.Fatalf("COR map moved %d bytes before any touch", rb)
 	}
-	// Touch 2 of 16 pages: only those cross.
+	// Touch 2 of 16 pages: only those cross, by copy — the transit
+	// pager is on the sending host, so no frames are lent to it.
+	copied := obs.VM().PageinBytesCopied.Load()
 	b, err := receiver.VMRead(raddr2, 1)
 	if err != nil || b[0] != 0xAB {
 		t.Fatalf("COR page 0: %v %v", err, b)
@@ -563,6 +572,9 @@ func TestOOLCrossHostEagerAndCOR(t *testing.T) {
 	receiver.VMRead(raddr2+8*pgsz, 1)
 	if rb := topo.Stats().RemoteBytes; rb > 4*pgsz {
 		t.Fatalf("COR moved %d bytes for 2 pages", rb)
+	}
+	if n := obs.VM().PageinBytesCopied.Load() - copied; n != 2*pgsz {
+		t.Fatalf("COR page-ins copied %d bytes, want %d: a grant crossed hosts", n, 2*pgsz)
 	}
 	// Receiver writes stay private to its mapping (COW against the
 	// transit object).
@@ -669,7 +681,7 @@ func TestDiscardOOLRegionReleasesTransit(t *testing.T) {
 	if region.Size() != 4*pgsz {
 		t.Fatalf("region size %d", region.Size())
 	}
-	k.DiscardOOLRegion(region)
+	region.Discard()
 	// A discarded region cannot be mapped.
 	if _, err := k.MapOOLRegion(task, region); err == nil {
 		t.Fatal("mapped a discarded region")
@@ -677,6 +689,93 @@ func TestDiscardOOLRegionReleasesTransit(t *testing.T) {
 	// The transit map is empty again.
 	if n := len(k.transit.Regions()); n != 0 {
 		t.Fatalf("transit still holds %d regions", n)
+	}
+}
+
+// A message carrying an out-of-line region that dies queued on a
+// destroyed port takes its transit snapshot with it.
+func TestDroppedOOLMessageReleasesTransit(t *testing.T) {
+	k := newTestKernel(t)
+	task := k.NewTask()
+	addr, _ := task.VMAllocate(0, 4*pgsz, true)
+	task.VMWrite(addr, []byte{1})
+	region, err := k.NewOOLRegion(task, addr, 4*pgsz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, _ := task.Space.AllocatePort()
+	if err := task.Send(&ipc.Message{ID: 1, RemotePort: port, Sections: []ipc.Section{ipc.CarryRegion(region)}}, ipc.SendOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(k.transit.Regions()); n != 1 {
+		t.Fatalf("transit holds %d regions with the message queued, want 1", n)
+	}
+	if err := task.Space.DeallocatePort(port); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(k.transit.Regions()); n != 0 {
+		t.Fatalf("transit still holds %d regions after the message died", n)
+	}
+	// A send that fails discards the region too.
+	region, _ = k.NewOOLRegion(task, addr, 4*pgsz)
+	if err := task.Send(&ipc.Message{ID: 1, RemotePort: port, Sections: []ipc.Section{ipc.CarryRegion(region)}}, ipc.SendOptions{}); err == nil {
+		t.Fatal("send to a deallocated port succeeded")
+	}
+	if n := len(k.transit.Regions()); n != 0 {
+		t.Fatalf("transit holds %d regions after a failed send", n)
+	}
+}
+
+// rangePager answers every request with ProvideRange: page i of its
+// object is filled with 0xC0+i.
+type rangePager struct{ pager.NopHandler }
+
+func (rangePager) DataRequest(mo *pager.MemoryObject, offset, length uint64, desired vm.Prot) {
+	mo.ProvideRange(offset, length, pgsz, func(off uint64, page []byte) bool {
+		copy(page, bytes.Repeat([]byte{byte(0xC0 + off/pgsz)}, pgsz))
+		return true
+	})
+}
+
+// A grant never crosses a host. One ProvideRange manager on host 0
+// serves a kernel on its own host, which lends it frames, and one on
+// host 1, whose pages must come by copy.
+func TestGrantStaysOnItsHost(t *testing.T) {
+	clock := machine.NewClock()
+	topo := machine.NewTopology(machine.ModelFor(machine.NUMA), clock)
+	k0 := NewKernel(Config{Host: 0, Frames: 128, PageSize: pgsz, Clock: clock, Topo: topo})
+	defer k0.Shutdown()
+	k1 := NewKernel(Config{Host: 1, Frames: 128, PageSize: pgsz, Clock: clock, Topo: topo})
+	defer k1.Shutdown()
+	mgrTask := k0.NewTask()
+	mgr := pager.NewManager(mgrTask.Space, rangePager{})
+	mo, _ := mgr.NewObject(nil)
+	go mgr.Run()
+	defer mgr.Stop()
+	p, _ := mgrTask.Space.Resolve(mo.Port)
+	lent0 := obs.VM().FramesLent.Load()
+	for _, k := range []*Kernel{k0, k1} {
+		c := k.NewTask()
+		n, _ := c.Space.InsertRight(p, ipc.SendRight)
+		a, err := c.VMAllocateWithPager(n, 0, 0, 4*pgsz, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied := obs.VM().PageinBytesCopied.Load()
+		got, err := c.VMRead(a, 4*pgsz)
+		if err != nil || got[0] != 0xC0 || got[4*pgsz-1] != 0xC3 {
+			t.Fatalf("host %d read %v", k.Host(), err)
+		}
+		want := uint64(0)
+		if k != k0 {
+			want = 4 * pgsz
+		}
+		if n := obs.VM().PageinBytesCopied.Load() - copied; n != want {
+			t.Fatalf("host %d page-in copied %d bytes, want %d", k.Host(), n, want)
+		}
+	}
+	if n := obs.VM().FramesLent.Load() - lent0; n != 0 {
+		t.Fatalf("%d frames still lent", n)
 	}
 }
 

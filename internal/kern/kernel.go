@@ -123,6 +123,7 @@ func NewKernel(cfg Config) *Kernel {
 		Clock:    cfg.Clock,
 		Model:    cfg.Topo.Model(),
 		Fault:    cfg.Fault,
+		Host:     cfg.Host,
 	})
 	k.Cache = pager.NewObjectCache(k.VM, cfg.Host, cfg.Topo)
 	k.transit = k.VM.NewMap(taskMapLo, taskMapHi)

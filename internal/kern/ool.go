@@ -79,10 +79,11 @@ func (k *Kernel) MapOOLRegion(t *Task, region ipc.OutOfLineRegion) (uint64, erro
 	return addr, nil
 }
 
-// Discard releases an out-of-line region that will not be mapped
-// (receiver declined the data).
-func (k *Kernel) DiscardOOLRegion(region ipc.OutOfLineRegion) {
-	if r, ok := region.(*oolRegion); ok && !r.moved.Swap(true) {
+// Discard implements ipc.OutOfLineRegion: it releases the transit
+// snapshot of a region that will not be mapped (the receiver declined
+// the data, or the message carrying it was never delivered).
+func (r *oolRegion) Discard() {
+	if !r.moved.Swap(true) {
 		_ = r.k.transit.Deallocate(r.addr, r.size)
 	}
 }

@@ -195,6 +195,27 @@ func LoadGen() *LoadGenMetrics {
 	}
 }
 
+// VMMetrics is the virtual-memory instrumentation, process-global like
+// the pager's: the page-in path's copies and the frames it has on loan.
+type VMMetrics struct {
+	// FramesLent is the number of frames out on loan to data managers
+	// in frame grants that are not yet installed or freed.
+	FramesLent *Gauge
+	// PageinBytesCopied counts the page bytes pager_data_provided
+	// copied into frames. A page that arrives in a frame grant is
+	// already in its frame and is not counted.
+	PageinBytesCopied *Counter
+}
+
+// VM returns the global vm bundle.
+func VM() *VMMetrics {
+	r := Default()
+	return &VMMetrics{
+		FramesLent:        r.Gauge("vm.frames_lent"),
+		PageinBytesCopied: r.Counter("vm.pagein_bytes_copied"),
+	}
+}
+
 // PagerMetrics is the external-pager / frame-pool instrumentation,
 // process-global (frame pools are per backing object, not per host).
 type PagerMetrics struct {

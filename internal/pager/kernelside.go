@@ -139,17 +139,30 @@ func (c *ObjectCache) serviceRequestPort(obj *vm.Object, req *ipc.Port) {
 		}
 		c.apply(obj, msg)
 		msg.ReleaseRights()
-		// The call has been applied and any pages copied into frames:
-		// this loop is the message's last owner (DataProvided builds
-		// its message from the pool).
+		// The call has been applied, any pages copied into frames and
+		// any frame grant settled: this loop is the message's last
+		// owner (DataProvided builds its message from the pool).
 		msg.Release()
 	}
 }
 
 // apply performs one manager-to-kernel call on the VM system; a
-// malformed message is dropped.
+// malformed message is dropped. A frame grant coming back is settled on
+// every path: installed by pager_data_provided, used for the zero-fill by
+// pager_data_unavailable, and freed otherwise.
 func (c *ObjectCache) apply(obj *vm.Object, msg *ipc.Message) {
 	offset, length, prot, flag, data, ok := decodePayload(msg.InlineData())
+	if g, lent := msg.FirstRegion().(*vm.FrameGrant); lent {
+		switch {
+		case ok && msg.ID == MsgDataProvided:
+			c.sys.GrantProvided(obj, offset, g, prot)
+		case ok && msg.ID == MsgDataUnavailable:
+			c.sys.GrantUnavailable(obj, offset, length, g)
+		default:
+			g.Discard()
+		}
+		return
+	}
 	if !ok {
 		return
 	}
@@ -222,16 +235,24 @@ func (rp *remotePager) Init(obj *vm.Object) {
 	})
 }
 
+// BorrowsFrames implements vm.FrameBorrower: only a manager on this
+// kernel's host can fill its frames. (The port lock it takes is never held
+// while calling into the VM system.)
+func (rp *remotePager) BorrowsFrames() bool { return rp.moPort.Home() == rp.cache.host }
+
 // DataRequest sends pager_data_request, identifying this kernel by its
-// request port right.
-func (rp *remotePager) DataRequest(obj *vm.Object, offset, length uint64, desired vm.Prot) {
-	rp.send(obj, &ipc.Message{
-		ID: MsgDataRequest,
-		Sections: []ipc.Section{
-			ipc.CarryRawRight(rp.req, ipc.SendRight),
-			ipc.InlineBytes(encodePayload(offset, length, desired, 0, nil)),
-		},
-	})
+// request port right. The frame grant, if the fault lent one, travels
+// with it out of line.
+func (rp *remotePager) DataRequest(obj *vm.Object, offset, length uint64, desired vm.Prot, grant *vm.FrameGrant) {
+	secs := []ipc.Section{
+		ipc.CarryRawRight(rp.req, ipc.SendRight),
+		ipc.InlineBytes(encodePayload(offset, length, desired, 0, nil)),
+		ipc.CarryRegion(grant),
+	}
+	if grant == nil {
+		secs = secs[:2]
+	}
+	rp.send(obj, &ipc.Message{ID: MsgDataRequest, Sections: secs})
 }
 
 // DataWrite sends pager_data_write with the page contents.

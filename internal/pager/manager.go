@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ipc"
@@ -28,6 +29,11 @@ type MemoryObject struct {
 	// Tag is free for the handler's use (e.g. the file this object
 	// backs).
 	Tag any
+
+	// grant holds the frame grant of the pager_data_request being
+	// dispatched until ProvideRange claims it; Dispatch discards a
+	// grant the handler left.
+	grant atomic.Pointer[vm.FrameGrant]
 }
 
 // send transmits a manager-to-kernel call on the request port.
@@ -41,9 +47,10 @@ func (mo *MemoryObject) send(id ipc.MsgID, payload []byte) error {
 
 // DataProvided supplies the kernel with object data
 // (pager_data_provided) with an initial lock value. data may be longer
-// than what was requested, and may be reused as soon as the call returns:
-// the pages are copied once, into a pooled message that the kernel's
-// service loop recycles after applying it.
+// than what was requested, and may be reused as soon as the call returns.
+// This is the copy path: the pages are copied into a pooled message that
+// the kernel's service loop recycles after copying them into frames.
+// ProvideRange avoids both copies when the request lent its frames.
 func (mo *MemoryObject) DataProvided(offset uint64, data []byte, lock vm.Prot) error {
 	m := ipc.GetMessage()
 	m.ID = MsgDataProvided
@@ -57,19 +64,40 @@ func (mo *MemoryObject) DataProvided(offset uint64, data []byte, lock vm.Prot) e
 }
 
 // ProvideRange answers a pager_data_request for [offset, offset+length)
-// from a page reader: read fills one page of the object, or reports that
-// the manager holds nothing for it. The longest prefix of the range that
-// read supplies goes to the kernel as one pager_data_provided, staged in
-// one pooled buffer, and nothing is said about the rest: the first miss
-// ends the scan, so the pages after it are not known to be empty, and the
-// kernel faults again for whichever of them it needs. Only when the first
-// page itself — the one the kernel waits for — is missing is it reported
-// with pager_data_unavailable. A one-page request is answered exactly as
-// by hand: one read, then provided or unavailable. ProvideRange returns
-// the number of bytes it provided, for a manager that knows what its
-// first miss means (past a file's end, nothing exists) and reports the
-// rest itself.
+// from a page reader: read fills one whole page of the object, or reports
+// that the manager holds nothing for it. The longest prefix of the range
+// that read supplies goes to the kernel as one pager_data_provided, and
+// nothing is said about the rest: the first miss ends the scan, so the
+// pages after it are not known to be empty, and the kernel faults again
+// for whichever of them it needs. Only when the first page itself — the
+// one the kernel waits for — is missing is it reported with
+// pager_data_unavailable. A one-page request is answered exactly as by
+// hand: one read, then provided or unavailable. ProvideRange returns the
+// number of bytes it provided, for a manager that knows what its first
+// miss means (past a file's end, nothing exists) and reports the rest
+// itself.
+//
+// When the request being dispatched lent its frames (vm.FrameGrant) and
+// the kernel that lent them is on this manager's host, read fills the
+// kernel's frames themselves and the answer carries the grant back with a
+// header-only payload: the pages are read once and never copied.
+// Otherwise they are staged in one pooled buffer and copied into the
+// message.
 func (mo *MemoryObject) ProvideRange(offset, length, pageSize uint64, read func(offset uint64, page []byte) bool) uint64 {
+	if g := mo.takeGrant(offset, pageSize); g != nil {
+		length = min(length, uint64(g.Frames())*pageSize)
+		got := uint64(0)
+		for got+pageSize <= length && read(offset+got, g.Frame(int(got/pageSize))) {
+			got += pageSize
+		}
+		if got == 0 {
+			_ = mo.returnGrant(MsgDataUnavailable, offset, pageSize, g)
+			return 0
+		}
+		g.Fill(got)
+		_ = mo.returnGrant(MsgDataProvided, offset, got, g)
+		return got
+	}
 	slab := ipc.AllocSlab(int(length))
 	defer slab.Release()
 	buf := slab.Bytes()
@@ -83,6 +111,40 @@ func (mo *MemoryObject) ProvideRange(offset, length, pageSize uint64, read func(
 	}
 	_ = mo.DataProvided(offset, buf[:got], vm.ProtNone)
 	return got
+}
+
+// takeGrant claims the frame grant of the request being dispatched if
+// ProvideRange can fill it: lent by the kernel on this manager's host — a
+// grant never crosses a host — for the range at offset, in pages of
+// pageSize. A grant it cannot use stays for Dispatch to discard.
+func (mo *MemoryObject) takeGrant(offset, pageSize uint64) *vm.FrameGrant {
+	g := mo.grant.Swap(nil)
+	if g == nil {
+		return nil
+	}
+	if g.Host() != mo.mgr.Space.Host() || g.Offset() != offset || uint64(len(g.Frame(0))) != pageSize {
+		if !mo.grant.CompareAndSwap(nil, g) {
+			g.Discard()
+		}
+		return nil
+	}
+	return g
+}
+
+// returnGrant sends a filled grant back to the kernel as the answer id
+// (pager_data_provided or pager_data_unavailable), with a header-only
+// payload. A failed send discards the grant.
+func (mo *MemoryObject) returnGrant(id ipc.MsgID, offset, length uint64, g *vm.FrameGrant) error {
+	m := ipc.GetMessage()
+	m.ID = id
+	m.RemotePort = mo.Request
+	m.InlineCopy(encodePayload(offset, length, vm.ProtNone, 0, nil))
+	m.AppendSection(ipc.CarryRegion(g))
+	err := mo.mgr.Space.Send(m, ipc.SendOptions{})
+	if err != nil {
+		m.Release()
+	}
+	return err
 }
 
 // DataLock restricts cache access to the given data (pager_data_lock).
@@ -165,7 +227,8 @@ type Handler interface {
 	PagerInit(mo *MemoryObject)
 	// DataRequest asks for [offset, offset+length); answer with
 	// mo.DataProvided or mo.DataUnavailable (pager_data_request), or
-	// with mo.ProvideRange, which does both. The kernel waits for the
+	// with mo.ProvideRange, which does both — and reads into the
+	// kernel's frames when the request lent them. The kernel waits for the
 	// first page only. A length beyond it is a hint — the pages the
 	// faulting access is about to touch that the kernel does not
 	// cache — and the manager may answer any prefix of the range: a
@@ -381,6 +444,8 @@ func (m *Manager) Dispatch(msg *ipc.Message) {
 	case MsgPagerCreate:
 		m.handleInit(msg, true)
 	case MsgDataRequest, MsgDataWrite, MsgDataUnlock:
+		// Only pager_data_request carries a frame grant.
+		grant, _ := msg.FirstRegion().(*vm.FrameGrant)
 		// pager_data_request and pager_data_unlock identify the calling
 		// kernel by its pager request port (Table 3-5); the right
 		// travels in the message and resolves to the name installed at
@@ -397,16 +462,16 @@ func (m *Manager) Dispatch(msg *ipc.Message) {
 			mo = m.byPort[msg.LocalPort]
 		}
 		m.mu.Unlock()
-		if mo == nil {
-			return
-		}
 		offset, length, prot, _, data, ok := decodePayload(msg.InlineData())
-		if !ok {
+		if mo == nil || !ok {
+			if grant != nil {
+				grant.Discard()
+			}
 			return
 		}
 		switch msg.ID {
 		case MsgDataRequest:
-			m.Handler.DataRequest(mo, offset, length, prot)
+			m.dataRequest(mo, offset, length, prot, grant)
 		case MsgDataWrite:
 			m.Handler.DataWrite(mo, offset, data)
 		case MsgDataUnlock:
@@ -433,6 +498,22 @@ func (m *Manager) Dispatch(msg *ipc.Message) {
 		if m.Default != nil {
 			m.Default(msg)
 		}
+	}
+}
+
+// dataRequest hands pager_data_request to the handler. The frame grant
+// the request lent, if any, waits on mo for the handler's ProvideRange to
+// claim; a grant the handler leaves is discarded, and the handler's
+// answer takes the copy path.
+func (m *Manager) dataRequest(mo *MemoryObject, offset, length uint64, prot vm.Prot, grant *vm.FrameGrant) {
+	if grant != nil {
+		if old := mo.grant.Swap(grant); old != nil {
+			old.Discard()
+		}
+	}
+	m.Handler.DataRequest(mo, offset, length, prot)
+	if grant != nil && mo.grant.CompareAndSwap(grant, nil) {
+		grant.Discard()
 	}
 }
 

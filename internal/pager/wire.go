@@ -21,6 +21,15 @@
 // (MemoryObject.ProvideRange) turns a multi-page access into one round
 // trip.
 //
+// A request may lend the frames of its range (vm.FrameGrant), carried
+// out of line. A manager on the kernel's host may read the pages into
+// them and return the grant, out of line again, with pager_data_provided
+// — the header names the pages provided, and the grant holds them — or
+// with pager_data_unavailable, whose zero-fill then uses the grant's
+// frames.
+// A manager that does neither leaves the grant to Manager.Dispatch,
+// which gives it back; the answer is then the copy path, unchanged.
+//
 // pager_data_unavailable is the exception to "length is only a hint": it
 // makes the kernel zero-fill every page it names that a fault is waiting
 // for, and a second fault may be waiting, on its own request, for a page
@@ -112,8 +121,7 @@ func encodePayload(offset, length uint64, prot vm.Prot, flag byte, data []byte) 
 
 // decodePayload splits a pager message payload with length-checked
 // decoding; ok is false if the payload is shorter than the fixed header.
-// The returned data aliases b (the paging path copies pages exactly
-// once).
+// The returned data aliases b: decoding copies nothing.
 func decodePayload(b []byte) (offset, length uint64, prot vm.Prot, flag byte, data []byte, ok bool) {
 	var w wirePayload
 	d := rpc.NewDec(b)

@@ -277,18 +277,21 @@ func (s *System) pageInRun(first *Object, firstOff uint64, obj *Object, off, max
 // failure policy of §6.2.1. The request names the run of absent pages the
 // access is about to touch, but only the faulted page is marked absent
 // and waited for: the rest of the range is a hint, and whatever part of
-// it the manager provides arrives as data nobody is waiting on. Called
+// it the manager provides arrives as data nobody is waiting on. The
+// request lends the run's frames when memory allows (lendLocked), so a
+// manager on this host can read the pages straight into them. Called
 // with the system lock held; returns with it released.
 func (m *Map) faultPageIn(res resolution, obj *Object, off, pages uint64, desired Prot) error {
 	s := m.sys
 	ps := s.PageSize()
 	p := s.pageInsert(obj, off)
 	p.busy, p.absent = true, true
-	length := ps * s.pageInRun(res.firstObj, res.firstOff, obj, off, pages)
+	n := s.pageInRun(res.firstObj, res.firstOff, obj, off, pages)
+	grant := s.lendLocked(obj, off, int(n))
 	pager := obj.pager
 	s.mu.Unlock()
 
-	pager.DataRequest(obj, off, length, desired)
+	pager.DataRequest(obj, off, n*ps, desired, grant)
 
 	var deadline time.Time
 	s.mu.Lock()
@@ -304,6 +307,9 @@ func (m *Map) faultPageIn(res resolution, obj *Object, off, pages uint64, desire
 		if !p.absent || p.pageError != nil {
 			break
 		}
+		// A manager that lets a fault time out may never answer, and
+		// would keep whatever frames it was lent: lend it no more.
+		obj.noLend = true
 		if s.fault.ZeroFillOnTimeout {
 			if s.frameAbsentLocked(p) {
 				s.frames.Zero(p.frame)

@@ -25,7 +25,14 @@ type Pager interface {
 	// the manager may provide any prefix of [offset, offset+length).
 	// What it reports with DataUnavailable it must know to be empty:
 	// other faults may be waiting for pages inside the hint.
-	DataRequest(obj *Object, offset, length uint64, desired Prot)
+	//
+	// grant, when not nil, lends the frames for the whole range, one
+	// per page (see FrameGrant); only a FrameBorrower is lent frames.
+	// The pager owns the grant from here: it hands it to its manager,
+	// which reads the pages into it and returns it through GrantProvided
+	// or GrantUnavailable, or gives it back with Discard. A nil grant
+	// asks for the copy path.
+	DataRequest(obj *Object, offset, length uint64, desired Prot, grant *FrameGrant)
 	// DataWrite corresponds to pager_data_write: dirty page contents
 	// are being returned to the data manager.
 	DataWrite(obj *Object, offset uint64, data []byte)
@@ -89,6 +96,11 @@ type Object struct {
 	// failErr records a permanent memory failure (manager death):
 	// subsequent faults return it instead of zero-filling (§6.2.1).
 	failErr error
+
+	// lending records that a frame grant lent with a request for this
+	// object is outstanding; noLend, that a fault on it timed out. Either
+	// way its requests go without a grant (lendLocked).
+	lending, noLend bool
 }
 
 // newObject creates an object of the given page-aligned size. Callers

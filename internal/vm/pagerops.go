@@ -20,6 +20,10 @@ import (
 //
 // Data for pages nobody asked for is accepted too ("advanced data
 // managers may provide more data than requested").
+//
+// This is the copy path: each page is copied into a frame. Pages that
+// arrive in the frame grant a request lent are already in their frames
+// (GrantProvided).
 func (s *System) DataProvided(obj *Object, offset uint64, data []byte, lock Prot) {
 	ps := s.PageSize()
 	if offset%ps != 0 {
@@ -54,16 +58,23 @@ func (s *System) DataProvided(obj *Object, offset uint64, data []byte, lock Prot
 			continue
 		}
 		copy(s.frames.Bytes(p.frame), chunk)
-		p.busy = false
-		p.absent = false
-		p.dirty = false
-		p.lock = lock
-		p.pageError = nil
-		s.activateLocked(p)
-		s.stats.Pageins++
+		s.met.PageinBytesCopied.Add(ps)
+		s.installLocked(p, lock)
 		s.chargeCopyLocked(int(ps))
 	}
 	s.cond.Broadcast()
+}
+
+// installLocked makes the page whose data is now in its frame valid and
+// resident, under the manager's initial lock. System lock held.
+func (s *System) installLocked(p *Page, lock Prot) {
+	p.busy = false
+	p.absent = false
+	p.dirty = false
+	p.lock = lock
+	p.pageError = nil
+	s.activateLocked(p)
+	s.stats.Pageins++
 }
 
 // frameAbsentLocked gives the absent page p the frame its data goes into.
@@ -88,17 +99,26 @@ func (s *System) frameAbsentLocked(p *Page) bool {
 // names — a page it does hold, named here while another fault waits for
 // it, reads as zeroes.
 func (s *System) DataUnavailable(obj *Object, offset, size uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.zeroFillLocked(obj, offset, size, nil)
+}
+
+// zeroFillLocked zero-fills every page of [offset, offset+size) that a
+// fault is waiting for, in the frame g lent for it if g covers it; a
+// grant starts at offset, which is page aligned. System lock held.
+func (s *System) zeroFillLocked(obj *Object, offset, size uint64, g *FrameGrant) {
 	ps := s.PageSize()
 	offset = s.trunc(offset)
 	end := s.round(offset + size)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for off := offset; off < end; off += ps {
 		p := s.hash.lookup(obj, off)
 		if p == nil || !p.absent {
 			continue
 		}
-		if !s.frameAbsentLocked(p) {
+		if i := (off - offset) / ps; g != nil && i < uint64(len(g.frames)) {
+			s.useLentLocked(p, g, int(i))
+		} else if !s.frameAbsentLocked(p) {
 			continue
 		}
 		s.frames.Zero(p.frame)

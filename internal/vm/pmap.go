@@ -11,7 +11,9 @@ import "repro/internal/machine"
 //
 // The System records a PV ("physical-to-virtual") entry for every
 // translation so a physical page can be unmapped from all address spaces
-// when it is flushed, evicted, or locked by its data manager.
+// when it is flushed, evicted, or locked by its data manager. The PV
+// table is indexed by frame and keeps each list's capacity when it
+// empties, so mapping a frame again allocates nothing.
 //
 // All Pmap state is guarded by the owning System's lock.
 type Pmap struct {
@@ -123,25 +125,33 @@ func (s *System) pvRemove(frame machine.Frame, pm *Pmap, vpage uint64) {
 	refs := s.pv[frame]
 	for i := range refs {
 		if refs[i].pmap == pm && refs[i].vpage == vpage {
-			refs[i] = refs[len(refs)-1]
-			s.pv[frame] = refs[:len(refs)-1]
-			if len(s.pv[frame]) == 0 {
-				delete(s.pv, frame)
-			}
+			s.pv[frame] = pvDelete(refs, i)
 			return
 		}
 	}
+}
+
+// pvDelete removes refs[i], moving the last reference into its slot. The
+// vacated slot is cleared: the list keeps its capacity, and a kept slot
+// must not pin its Pmap.
+func pvDelete(refs []pvRef, i int) []pvRef {
+	last := len(refs) - 1
+	refs[i] = refs[last]
+	refs[last] = pvRef{}
+	return refs[:last]
 }
 
 // pmapRemoveAll unmaps a physical frame from every address space, the
 // hardware shootdown used before flushing or evicting a page. System
 // lock held.
 func (s *System) pmapRemoveAll(frame machine.Frame) {
-	for _, ref := range s.pv[frame] {
+	refs := s.pv[frame]
+	for _, ref := range refs {
 		delete(ref.pmap.entries, ref.vpage)
 		ref.pmap.removals++
 	}
-	delete(s.pv, frame)
+	clear(refs)
+	s.pv[frame] = refs[:0]
 }
 
 // pmapProtectAll reduces the protection of every mapping of a frame, used
@@ -160,16 +170,11 @@ func (s *System) pmapProtectAll(frame machine.Frame, prot Prot) {
 		if np == ProtNone {
 			delete(ref.pmap.entries, ref.vpage)
 			ref.pmap.removals++
-			refs[i] = refs[len(refs)-1]
-			refs = refs[:len(refs)-1]
+			refs = pvDelete(refs, i)
 			i--
 			continue
 		}
 		ref.pmap.entries[ref.vpage] = pmapEntry{e.frame, np}
 	}
-	if len(refs) == 0 {
-		delete(s.pv, frame)
-	} else {
-		s.pv[frame] = refs
-	}
+	s.pv[frame] = refs
 }

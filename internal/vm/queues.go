@@ -44,13 +44,14 @@ func (s *System) balance() {
 		var adopt []*Object
 
 		s.mu.Lock()
-		if s.frames.FreeFrames() >= s.freeTarget {
+		short := s.shortfallLocked()
+		if short <= 0 {
 			s.mu.Unlock()
 			return
 		}
 		// Refill the inactive queue from the LRU end of the active
 		// queue, twice the shortfall deep.
-		want := 2 * (s.freeTarget - s.frames.FreeFrames())
+		want := 2 * short
 		for s.inactive.count < want {
 			p := s.active.popHead()
 			if p == nil {
@@ -67,7 +68,7 @@ func (s *System) balance() {
 		}
 		progress := false
 		scan := s.inactive.count
-		for i := 0; i < scan && s.frames.FreeFrames() < s.freeTarget; i++ {
+		for i := 0; i < scan && s.shortfallLocked() > 0; i++ {
 			p := s.inactive.popHead()
 			if p == nil {
 				break

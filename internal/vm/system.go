@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // Errors returned by VM operations.
@@ -75,6 +76,9 @@ type Config struct {
 	DefaultPager func(*Object) Pager
 	// Fault is the fault policy; the zero value waits forever.
 	Fault FaultPolicy
+	// Host is the simulated host the system runs on, stamped on the
+	// frame grants it lends.
+	Host machine.HostID
 }
 
 // System is one kernel's virtual memory system: physical memory, the
@@ -85,6 +89,8 @@ type System struct {
 	frames *machine.FrameTable
 	clock  *machine.Clock
 	model  machine.CostModel
+	host   machine.HostID
+	met    *obs.VMMetrics
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on page-state / free-frame changes
@@ -92,11 +98,12 @@ type System struct {
 	hash       *vpHash
 	active     pageList
 	inactive   pageList
-	pv         map[machine.Frame][]pvRef
+	pv         [][]pvRef // by frame
 	frame2page map[machine.Frame]*Page
 
 	freeTarget   int
 	reserved     int
+	lent         int // frames out on loan in frame grants
 	fault        FaultPolicy
 	defaultPager func(*Object) Pager
 
@@ -126,8 +133,10 @@ func NewSystem(cfg Config) *System {
 		frames:       machine.NewFrameTable(cfg.Frames, cfg.PageSize),
 		clock:        cfg.Clock,
 		model:        cfg.Model,
+		host:         cfg.Host,
+		met:          obs.VM(),
 		hash:         newVPHash(cfg.Frames * 2),
-		pv:           make(map[machine.Frame][]pvRef),
+		pv:           make([][]pvRef, cfg.Frames),
 		frame2page:   make(map[machine.Frame]*Page),
 		freeTarget:   cfg.FreeTarget,
 		reserved:     cfg.Reserved,
@@ -404,7 +413,7 @@ func (s *System) allocFrameLocked(forPageout bool) machine.Frame {
 		}
 		if free > limit {
 			if f, ok := s.frames.Alloc(); ok {
-				if free-1 < s.freeTarget {
+				if s.shortfallLocked() > 0 {
 					s.wakeDaemon()
 				}
 				return f
@@ -413,6 +422,18 @@ func (s *System) allocFrameLocked(forPageout bool) machine.Frame {
 		s.wakeDaemon()
 		s.cond.Wait()
 	}
+}
+
+// shortfallLocked is how many frames the pageout daemon has to free. A
+// frame lent to a data manager (FrameGrant) counts as free until it is
+// installed, as it was before grants, when the frame was taken only once
+// the data arrived: so a page-in moves the daemon the same way whether it
+// comes by grant or by copy. But frames on loan never leave an ordinary
+// allocation waiting: while the real free count is down to the reserve,
+// the daemon frees one more. System lock held.
+func (s *System) shortfallLocked() int {
+	free := s.frames.FreeFrames()
+	return max(s.freeTarget-(free+s.lent), s.reserved+1-free)
 }
 
 func (s *System) wakeDaemon() {

@@ -30,10 +30,13 @@ type fakePager struct {
 	inits       int
 	terminates  int
 	lockValue   Prot
-	unavailable bool // answer DataUnavailable instead of providing
-	silent      bool // never answer (errant manager)
-	grantUnlock bool // answer DataUnlock by clearing the lock
-	ranged      bool // answer the whole range it holds, not just the first page
+	unavailable bool          // answer DataUnavailable instead of providing
+	silent      bool          // never answer (errant manager)
+	grantUnlock bool          // answer DataUnlock by clearing the lock
+	ranged      bool          // answer the whole range it holds, not just the first page
+	borrow      bool          // be lent frames (FrameBorrower), and fill them
+	grants      int           // requests that came with a frame grant
+	hoarded     []*FrameGrant // grants a silent pager keeps
 }
 
 func newFakePager(sys *System) *fakePager {
@@ -56,8 +59,11 @@ func (f *fakePager) Init(obj *Object) {
 	f.mu.Unlock()
 }
 
-func (f *fakePager) DataRequest(obj *Object, offset, length uint64, desired Prot) {
+func (f *fakePager) DataRequest(obj *Object, offset, length uint64, desired Prot, grant *FrameGrant) {
 	f.mu.Lock()
+	if grant != nil {
+		f.grants++
+	}
 	f.requests = append(f.requests, offset)
 	f.lengths = append(f.lengths, length)
 	silent, unavailable := f.silent, f.unavailable
@@ -69,8 +75,16 @@ func (f *fakePager) DataRequest(obj *Object, offset, length uint64, desired Prot
 		}
 	}
 	lock := f.lockValue
+	if silent && grant != nil {
+		// An errant manager keeps what it was lent.
+		f.hoarded = append(f.hoarded, grant)
+	}
 	f.mu.Unlock()
 	if silent {
+		return
+	}
+	if grant != nil {
+		f.fill(obj, offset, grant, !unavailable && have, lock)
 		return
 	}
 	if unavailable || !have {
@@ -79,6 +93,31 @@ func (f *fakePager) DataRequest(obj *Object, offset, length uint64, desired Prot
 	}
 	f.sys.DataProvided(obj, offset, data, lock)
 }
+
+// fill answers a request through its frame grant: the pages it holds from
+// offset on, read straight into the lent frames, or unavailable for the
+// first page.
+func (f *fakePager) fill(obj *Object, offset uint64, g *FrameGrant, have bool, lock Prot) {
+	got := uint64(0)
+	f.mu.Lock()
+	for i := 0; have && i < g.Frames(); i++ {
+		page := f.backing[offset+got]
+		if page == nil || (!f.ranged && i > 0) {
+			break
+		}
+		copy(g.Frame(i), page)
+		got += testPageSize
+	}
+	f.mu.Unlock()
+	if got == 0 {
+		f.sys.GrantUnavailable(obj, offset, testPageSize, g)
+		return
+	}
+	g.Fill(got)
+	f.sys.GrantProvided(obj, offset, g, lock)
+}
+
+func (f *fakePager) BorrowsFrames() bool { return f.borrow }
 
 func (f *fakePager) DataWrite(obj *Object, offset uint64, data []byte) {
 	cp := make([]byte, len(data))
