@@ -57,8 +57,10 @@ race:
 # kernel shutdown joining its default-pager loop, migration pre-paging
 # against a destination that applies pages asynchronously, the frame
 # grants of page-in (every way a grant is settled gives its frames back,
-# and none crosses a host) and out-of-line messages that die undelivered
-# — on one, two and four processors. A cold first iteration often
+# and none crosses a host), out-of-line messages that die undelivered
+# and paging through recycled storage (pooled pager messages, pageout
+# buffers and page structures: stamped pages must read back intact) —
+# on one, two and four processors. A cold first iteration often
 # passes where the tenth does not.
 stress:
 	$(GO) test -run 'TestCrossHostStress' -cpu 1,2,4 -count=20 ./internal/netmsg
@@ -66,7 +68,7 @@ stress:
 	$(GO) test -run 'TestDurableCommitOverlapsHeldFsync|TestDurableCloseAnswersHeldCommit' -cpu 1,2,4 -count=20 ./internal/camelot
 	$(GO) test -run 'TestShutdownLeavesNoManagerLoop' -cpu 1,2,4 -count=20 ./internal/kern
 	$(GO) test -run 'TestMigratePrePaging' -cpu 1,2,4 -count=20 ./internal/migrate
-	$(GO) test -run 'TestProvideRangeFillsGrant|TestGrantFramesComeBack' -cpu 1,2,4 -count=20 ./internal/pager
+	$(GO) test -run 'TestProvideRangeFillsGrant|TestGrantFramesComeBack|TestPagingKeepsStamps' -cpu 1,2,4 -count=20 ./internal/pager
 	$(GO) test -run 'TestGrant|TestHoardingManagerIsBounded|TestPVListKeepsCapacity' -cpu 1,2,4 -count=20 ./internal/vm
 	$(GO) test -run 'TestDroppedOOLMessageReleasesTransit|TestGrantStaysOnItsHost|TestFSFileReadThroughGrant' -cpu 1,2,4 -count=20 ./internal/kern
 

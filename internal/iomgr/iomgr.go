@@ -312,18 +312,35 @@ func (f *File) Fsync() *Op {
 
 // SyncReadAt is ReadAt + Await.
 func (f *File) SyncReadAt(buf []byte, off int64) (int, error) {
-	return f.ReadAt(buf, off).Await()
+	return f.syncOp(OpRead, buf, off)
 }
 
 // SyncWriteAt is WriteAt + Await.
 func (f *File) SyncWriteAt(buf []byte, off int64) (int, error) {
-	return f.WriteAt(buf, off).Await()
+	return f.syncOp(OpWrite, buf, off)
 }
 
 // SyncFsync is Fsync + Await.
 func (f *File) SyncFsync() error {
-	_, err := f.Fsync().Await()
+	_, err := f.syncOp(OpFsync, nil, 0)
 	return err
+}
+
+// opPool recycles the ops of the synchronous calls, each with its
+// buffered completion channel.
+var opPool = sync.Pool{New: func() any { return &Op{done: make(chan *Op, 1)} }}
+
+// syncOp submits a pooled op, awaits it and recycles it. The op is the
+// caller's alone again once Await returns: complete delivers it as its
+// last act, after the observer has run, and neither the dispatcher nor a
+// backend reads an op it has completed.
+func (f *File) syncOp(kind OpKind, buf []byte, off int64) (int, error) {
+	op := opPool.Get().(*Op)
+	op.Kind, op.Off, op.Buf = kind, off, buf
+	n, err := f.submit(op).Await()
+	*op = Op{done: op.done}
+	opPool.Put(op)
+	return n, err
 }
 
 // Size returns the current file size.
@@ -341,7 +358,9 @@ func (f *File) Truncate(size int64) error { return f.os.Truncate(size) }
 // submit enqueues op toward the dispatcher.
 func (f *File) submit(op *Op) *Op {
 	op.f = f
-	op.done = make(chan *Op, 1)
+	if op.done == nil {
+		op.done = make(chan *Op, 1)
+	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()

@@ -115,15 +115,13 @@ func (c *ObjectCache) AdoptInternal(obj *vm.Object) vm.Pager {
 	c.mu.Unlock()
 
 	go c.serviceRequestPort(obj, rp.req)
-	_ = ipc.RawSend(c.topo, c.host, dp, &ipc.Message{
-		ID: MsgPagerCreate,
-		Sections: []ipc.Section{
-			ipc.CarryRawRight(moPort, ipc.SendRight|ipc.ReceiveRight),
-			ipc.CarryRawRight(rp.req, ipc.SendRight),
-			ipc.CarryRawRight(rp.name, ipc.SendRight),
-			ipc.InlineBytes(encodePayload(0, obj.Size(), 0, 0, nil)),
-		},
-	}, ipc.SendOptions{Force: true})
+	m := newMessage(MsgPagerCreate, 0, obj.Size(), 0, 0, nil,
+		ipc.CarryRawRight(moPort, ipc.SendRight|ipc.ReceiveRight),
+		ipc.CarryRawRight(rp.req, ipc.SendRight),
+		ipc.CarryRawRight(rp.name, ipc.SendRight))
+	if ipc.RawSend(c.topo, c.host, dp, m, ipc.SendOptions{Force: true}) != nil {
+		m.Release()
+	}
 	return rp
 }
 
@@ -196,17 +194,20 @@ func (c *ObjectCache) ackFlush(msg *ipc.Message, offset, length uint64, wrote in
 	if wrote > 255 {
 		wrote = 255
 	}
-	_ = ipc.RawSend(c.topo, c.host, reply, &ipc.Message{
-		ID:       MsgLockCompleted,
-		Sections: []ipc.Section{ipc.InlineBytes(encodePayload(offset, length, 0, byte(wrote), nil))},
-	}, ipc.SendOptions{Force: true})
+	m := newMessage(MsgLockCompleted, offset, length, 0, byte(wrote), nil)
+	if ipc.RawSend(c.topo, c.host, reply, m, ipc.SendOptions{Force: true}) != nil {
+		m.Release()
+	}
 }
 
 // remotePager implements vm.Pager by sending the kernel-to-manager calls
 // of Table 3-5 as asynchronous messages on the memory object port ("the
 // calls do not have explicit return arguments and the kernel does not
 // wait for acknowledgement"). Sends are forced past the backlog so the
-// kernel never blocks on an errant manager.
+// kernel never blocks on an errant manager. Every call is a pooled
+// message: pager_data_request, pager_data_write and pager_data_unlock are
+// released by the receiving Manager's Dispatch once the handler returns,
+// and a message the port refuses is released here.
 type remotePager struct {
 	cache     *ObjectCache
 	moPort    *ipc.Port
@@ -215,6 +216,11 @@ type remotePager struct {
 
 func (rp *remotePager) send(obj *vm.Object, m *ipc.Message) {
 	err := ipc.RawSend(rp.cache.topo, rp.cache.host, rp.moPort, m, ipc.SendOptions{Force: true})
+	if err == nil {
+		return
+	}
+	// Refused, the message is still the kernel's.
+	m.Release()
 	if err == ipc.ErrPortDied {
 		// Destruction of a memory object by the data manager: abort
 		// requests in progress (§6.2.1).
@@ -225,14 +231,9 @@ func (rp *remotePager) send(obj *vm.Object, m *ipc.Message) {
 
 // Init sends pager_init with the request and name port rights.
 func (rp *remotePager) Init(obj *vm.Object) {
-	rp.send(obj, &ipc.Message{
-		ID: MsgPagerInit,
-		Sections: []ipc.Section{
-			ipc.CarryRawRight(rp.req, ipc.SendRight),
-			ipc.CarryRawRight(rp.name, ipc.SendRight),
-			ipc.InlineBytes(encodePayload(0, obj.Size(), 0, 0, nil)),
-		},
-	})
+	rp.send(obj, newMessage(MsgPagerInit, 0, obj.Size(), 0, 0, nil,
+		ipc.CarryRawRight(rp.req, ipc.SendRight),
+		ipc.CarryRawRight(rp.name, ipc.SendRight)))
 }
 
 // BorrowsFrames implements vm.FrameBorrower: only a manager on this
@@ -244,36 +245,22 @@ func (rp *remotePager) BorrowsFrames() bool { return rp.moPort.Home() == rp.cach
 // request port right. The frame grant, if the fault lent one, travels
 // with it out of line.
 func (rp *remotePager) DataRequest(obj *vm.Object, offset, length uint64, desired vm.Prot, grant *vm.FrameGrant) {
-	secs := []ipc.Section{
-		ipc.CarryRawRight(rp.req, ipc.SendRight),
-		ipc.InlineBytes(encodePayload(offset, length, desired, 0, nil)),
-		ipc.CarryRegion(grant),
+	m := newMessage(MsgDataRequest, offset, length, desired, 0, nil, ipc.CarryRawRight(rp.req, ipc.SendRight))
+	if grant != nil {
+		m.AppendSection(ipc.CarryRegion(grant))
 	}
-	if grant == nil {
-		secs = secs[:2]
-	}
-	rp.send(obj, &ipc.Message{ID: MsgDataRequest, Sections: secs})
+	rp.send(obj, m)
 }
 
-// DataWrite sends pager_data_write with the page contents.
+// DataWrite sends pager_data_write with the page contents, copied into
+// the message: data is the caller's again when DataWrite returns.
 func (rp *remotePager) DataWrite(obj *vm.Object, offset uint64, data []byte) {
-	rp.send(obj, &ipc.Message{
-		ID: MsgDataWrite,
-		Sections: []ipc.Section{
-			ipc.InlineBytes(encodePayload(offset, uint64(len(data)), 0, 0, data)),
-		},
-	})
+	rp.send(obj, newMessage(MsgDataWrite, offset, uint64(len(data)), 0, 0, data))
 }
 
 // DataUnlock sends pager_data_unlock.
 func (rp *remotePager) DataUnlock(obj *vm.Object, offset, length uint64, desired vm.Prot) {
-	rp.send(obj, &ipc.Message{
-		ID: MsgDataUnlock,
-		Sections: []ipc.Section{
-			ipc.CarryRawRight(rp.req, ipc.SendRight),
-			ipc.InlineBytes(encodePayload(offset, length, desired, 0, nil)),
-		},
-	})
+	rp.send(obj, newMessage(MsgDataUnlock, offset, length, desired, 0, nil, ipc.CarryRawRight(rp.req, ipc.SendRight)))
 }
 
 // Terminate destroys the request and name ports; the manager learns of

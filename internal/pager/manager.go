@@ -36,13 +36,16 @@ type MemoryObject struct {
 	grant atomic.Pointer[vm.FrameGrant]
 }
 
-// send transmits a manager-to-kernel call on the request port.
-func (mo *MemoryObject) send(id ipc.MsgID, payload []byte) error {
-	return mo.mgr.Space.Send(&ipc.Message{
-		ID:         id,
-		RemotePort: mo.Request,
-		Sections:   []ipc.Section{ipc.InlineBytes(payload)},
-	}, ipc.SendOptions{})
+// send transmits a manager-to-kernel call, a pooled message that the
+// kernel's service loop releases once it has applied it; a message the
+// request port refuses is released here.
+func (mo *MemoryObject) send(m *ipc.Message) error {
+	m.RemotePort = mo.Request
+	err := mo.mgr.Space.Send(m, ipc.SendOptions{})
+	if err != nil {
+		m.Release()
+	}
+	return err
 }
 
 // DataProvided supplies the kernel with object data
@@ -52,15 +55,7 @@ func (mo *MemoryObject) send(id ipc.MsgID, payload []byte) error {
 // the kernel's service loop recycles after copying them into frames.
 // ProvideRange avoids both copies when the request lent its frames.
 func (mo *MemoryObject) DataProvided(offset uint64, data []byte, lock vm.Prot) error {
-	m := ipc.GetMessage()
-	m.ID = MsgDataProvided
-	m.RemotePort = mo.Request
-	m.InlineCopy(encodePayload(offset, uint64(len(data)), lock, 0, nil), data)
-	err := mo.mgr.Space.Send(m, ipc.SendOptions{})
-	if err != nil {
-		m.Release()
-	}
-	return err
+	return mo.send(newMessage(MsgDataProvided, offset, uint64(len(data)), lock, 0, data))
 }
 
 // ProvideRange answers a pager_data_request for [offset, offset+length)
@@ -135,33 +130,26 @@ func (mo *MemoryObject) takeGrant(offset, pageSize uint64) *vm.FrameGrant {
 // (pager_data_provided or pager_data_unavailable), with a header-only
 // payload. A failed send discards the grant.
 func (mo *MemoryObject) returnGrant(id ipc.MsgID, offset, length uint64, g *vm.FrameGrant) error {
-	m := ipc.GetMessage()
-	m.ID = id
-	m.RemotePort = mo.Request
-	m.InlineCopy(encodePayload(offset, length, vm.ProtNone, 0, nil))
+	m := newMessage(id, offset, length, vm.ProtNone, 0, nil)
 	m.AppendSection(ipc.CarryRegion(g))
-	err := mo.mgr.Space.Send(m, ipc.SendOptions{})
-	if err != nil {
-		m.Release()
-	}
-	return err
+	return mo.send(m)
 }
 
 // DataLock restricts cache access to the given data (pager_data_lock).
 func (mo *MemoryObject) DataLock(offset, length uint64, lock vm.Prot) error {
-	return mo.send(MsgDataLock, encodePayload(offset, length, lock, 0, nil))
+	return mo.send(newMessage(MsgDataLock, offset, length, lock, 0, nil))
 }
 
 // FlushRequest forces cached data to be invalidated
 // (pager_flush_request).
 func (mo *MemoryObject) FlushRequest(offset, length uint64) error {
-	return mo.send(MsgFlushRequest, encodePayload(offset, length, 0, 0, nil))
+	return mo.send(newMessage(MsgFlushRequest, offset, length, 0, 0, nil))
 }
 
 // CleanRequest forces cached data to be written back
 // (pager_clean_request).
 func (mo *MemoryObject) CleanRequest(offset, length uint64) error {
-	return mo.send(MsgCleanRequest, encodePayload(offset, length, 0, 0, nil))
+	return mo.send(newMessage(MsgCleanRequest, offset, length, 0, 0, nil))
 }
 
 // FlushRequestSync is FlushRequest that blocks until the kernel has
@@ -170,11 +158,9 @@ func (mo *MemoryObject) CleanRequest(offset, length uint64) error {
 // call from the manager loop: the acknowledgement is produced by the
 // kernel's request-port service thread, which never waits on the manager.
 func (mo *MemoryObject) FlushRequestSync(offset, length uint64) (int, error) {
-	reply, err := mo.mgr.Space.RPC(&ipc.Message{
-		ID:         MsgFlushRequest,
-		RemotePort: mo.Request,
-		Sections:   []ipc.Section{ipc.InlineBytes(encodePayload(offset, length, 0, 0, nil))},
-	}, 10*time.Second, 10*time.Second)
+	m := newMessage(MsgFlushRequest, offset, length, 0, 0, nil)
+	m.RemotePort = mo.Request
+	reply, err := mo.mgr.Space.RPC(m, 10*time.Second, 10*time.Second)
 	if err != nil {
 		return 0, err
 	}
@@ -191,12 +177,9 @@ func (mo *MemoryObject) FlushRequestSync(offset, length uint64) (int, error) {
 // Consistency protocols (§4.2) need this to know when invalidation has
 // taken effect.
 func (mo *MemoryObject) FlushRequestAck(offset, length uint64, replyTo ipc.Name) error {
-	return mo.mgr.Space.Send(&ipc.Message{
-		ID:         MsgFlushRequest,
-		RemotePort: mo.Request,
-		LocalPort:  replyTo,
-		Sections:   []ipc.Section{ipc.InlineBytes(encodePayload(offset, length, 0, 0, nil))},
-	}, ipc.SendOptions{})
+	m := newMessage(MsgFlushRequest, offset, length, 0, 0, nil)
+	m.LocalPort = replyTo
+	return mo.send(m)
 }
 
 // Cache tells the kernel whether it may retain cached data after all
@@ -206,7 +189,7 @@ func (mo *MemoryObject) Cache(mayCache bool) error {
 	if mayCache {
 		f = 1
 	}
-	return mo.send(MsgCache, encodePayload(0, 0, 0, f, nil))
+	return mo.send(newMessage(MsgCache, 0, 0, 0, f, nil))
 }
 
 // DataUnavailable notifies the kernel that no data exists for the region
@@ -216,7 +199,7 @@ func (mo *MemoryObject) Cache(mayCache bool) error {
 // over pages the manager does hold and other faults are waiting for; name
 // the pages known to be empty — failing that, the one page at offset.
 func (mo *MemoryObject) DataUnavailable(offset, size uint64) error {
-	return mo.send(MsgDataUnavailable, encodePayload(offset, size, 0, 0, nil))
+	return mo.send(newMessage(MsgDataUnavailable, offset, size, 0, 0, nil))
 }
 
 // Handler is what a data manager implements: the kernel-to-manager calls
@@ -237,7 +220,9 @@ type Handler interface {
 	// DataUnavailable): other faults may be waiting inside the hint.
 	DataRequest(mo *MemoryObject, offset, length uint64, desired vm.Prot)
 	// DataWrite returns modified data to the manager
-	// (pager_data_write).
+	// (pager_data_write). data is valid only for the call: it lies in
+	// the message's buffer, which Dispatch recycles once DataWrite
+	// returns, so a handler copies what it keeps.
 	DataWrite(mo *MemoryObject, offset uint64, data []byte)
 	// DataUnlock reports that a task needs more access than the
 	// manager's lock permits; answer with mo.DataLock
@@ -413,9 +398,12 @@ func goid() uint64 {
 }
 
 // Run is the manager service loop: it receives on the manager's port set
-// and dispatches pager calls to the Handler. It returns after Stop or
-// Quiesce, when the space is destroyed, or when the set has no member
-// left — nothing can arrive then.
+// and dispatches pager calls to the Handler. Every message it receives
+// goes to Dispatch, which releases the kernel's pager_data_request,
+// pager_data_write and pager_data_unlock calls; every other message stays
+// with whoever Dispatch hands it to. It returns after Stop or Quiesce,
+// when the space is destroyed, or when the set has no member left —
+// nothing can arrive then.
 func (m *Manager) Run() {
 	done := make(chan struct{})
 	defer close(done)
@@ -437,6 +425,15 @@ func (m *Manager) Run() {
 
 // Dispatch routes one received message. Exposed so tasks that run their
 // own receive loop can still use the pager machinery.
+//
+// Dispatch consumes the kernel's pager_data_request, pager_data_write and
+// pager_data_unlock calls the way a procedure call consumes its
+// arguments: after the handler returns — or at once, for a call naming no
+// object of this manager or carrying a short payload — it releases the
+// message to the ipc pool, so the caller must not touch it again. The
+// Handler only ever sees the decoded arguments. Every other message is
+// left as it was: pager_init and pager_create, port-death notices, and
+// what goes to Default, which may keep the message it is given.
 func (m *Manager) Dispatch(msg *ipc.Message) {
 	switch msg.ID {
 	case MsgPagerInit:
@@ -444,39 +441,10 @@ func (m *Manager) Dispatch(msg *ipc.Message) {
 	case MsgPagerCreate:
 		m.handleInit(msg, true)
 	case MsgDataRequest, MsgDataWrite, MsgDataUnlock:
-		// Only pager_data_request carries a frame grant.
-		grant, _ := msg.FirstRegion().(*vm.FrameGrant)
-		// pager_data_request and pager_data_unlock identify the calling
-		// kernel by its pager request port (Table 3-5); the right
-		// travels in the message and resolves to the name installed at
-		// pager_init time.
-		m.mu.Lock()
-		var mo *MemoryObject
-		for i := range msg.Sections {
-			if msg.Sections[i].Kind == ipc.PortRightSection {
-				mo = m.byRequest[msg.Sections[i].PortName]
-				break
-			}
-		}
-		if mo == nil {
-			mo = m.byPort[msg.LocalPort]
-		}
-		m.mu.Unlock()
-		offset, length, prot, _, data, ok := decodePayload(msg.InlineData())
-		if mo == nil || !ok {
-			if grant != nil {
-				grant.Discard()
-			}
-			return
-		}
-		switch msg.ID {
-		case MsgDataRequest:
-			m.dataRequest(mo, offset, length, prot, grant)
-		case MsgDataWrite:
-			m.Handler.DataWrite(mo, offset, data)
-		case MsgDataUnlock:
-			m.Handler.DataUnlock(mo, offset, length, prot)
-		}
+		m.kernelCall(msg)
+		// The handler has returned, and it saw only decoded arguments:
+		// Dispatch is the call's last owner.
+		msg.Release()
 	case ipc.MsgIDPortDeleted:
 		dead := ipc.DecodeName(msg.InlineData())
 		m.mu.Lock()
@@ -498,6 +466,45 @@ func (m *Manager) Dispatch(msg *ipc.Message) {
 		if m.Default != nil {
 			m.Default(msg)
 		}
+	}
+}
+
+// kernelCall decodes one of the kernel's pager_data_request,
+// pager_data_write and pager_data_unlock calls and hands it to the
+// handler. A call for no known object, or with a short payload, is
+// dropped, and the frame grant it lent given back.
+func (m *Manager) kernelCall(msg *ipc.Message) {
+	// Only pager_data_request carries a frame grant.
+	grant, _ := msg.FirstRegion().(*vm.FrameGrant)
+	// pager_data_request and pager_data_unlock identify the calling
+	// kernel by its pager request port (Table 3-5); the right travels in
+	// the message and resolves to the name installed at pager_init time.
+	m.mu.Lock()
+	var mo *MemoryObject
+	for i := range msg.Sections {
+		if msg.Sections[i].Kind == ipc.PortRightSection {
+			mo = m.byRequest[msg.Sections[i].PortName]
+			break
+		}
+	}
+	if mo == nil {
+		mo = m.byPort[msg.LocalPort]
+	}
+	m.mu.Unlock()
+	offset, length, prot, _, data, ok := decodePayload(msg.InlineData())
+	if mo == nil || !ok {
+		if grant != nil {
+			grant.Discard()
+		}
+		return
+	}
+	switch msg.ID {
+	case MsgDataRequest:
+		m.dataRequest(mo, offset, length, prot, grant)
+	case MsgDataWrite:
+		m.Handler.DataWrite(mo, offset, data)
+	case MsgDataUnlock:
+		m.Handler.DataUnlock(mo, offset, length, prot)
 	}
 }
 

@@ -111,12 +111,32 @@ func DecodePayload(b []byte) (offset, length uint64, prot vm.Prot, flag byte, da
 // encodePayload builds the inline payload of a pager message through
 // the generated wirePayload codec (internal/idl/defs/pager.go): offset
 // u64, length u64, prot u8, flag u8, then the raw page data as the
-// tail.
+// tail. The bytes are freshly allocated; the send paths use newMessage.
 func encodePayload(offset, length uint64, prot vm.Prot, flag byte, data []byte) []byte {
-	e := rpc.NewEnc()
+	var e rpc.Enc
 	w := wirePayload{Offset: offset, Length: length, Prot: byte(prot), Flag: flag, Data: data}
-	w.encodePayload(e)
+	w.encodePayload(&e)
 	return e.Payload()
+}
+
+// newMessage builds a pooled pager message id whose payload — the header
+// then data — is its own inline section, with sections placed before it.
+// The data is copied into the message's recycled buffer and the header
+// encoded in place there by the generated codec, so building the message
+// allocates nothing in the steady state. The payload and its wire size are
+// exactly those of encodePayload.
+func newMessage(id ipc.MsgID, offset, length uint64, prot vm.Prot, flag byte, data []byte, before ...ipc.Section) *ipc.Message {
+	m := ipc.GetMessage()
+	m.ID = id
+	for _, s := range before {
+		m.AppendSection(s)
+	}
+	var reserve [wireHeaderLen]byte
+	m.InlineCopy(reserve[:], data)
+	e := rpc.EncOver(m.Sections[len(m.Sections)-1].Data[:0:wireHeaderLen])
+	w := wirePayload{Offset: offset, Length: length, Prot: byte(prot), Flag: flag}
+	w.encodePayload(&e)
+	return m
 }
 
 // decodePayload splits a pager message payload with length-checked

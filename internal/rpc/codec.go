@@ -43,6 +43,11 @@ type Enc struct {
 // NewEnc returns an empty encoder.
 func NewEnc() *Enc { return &Enc{buf: make([]byte, 0, 64)} }
 
+// EncOver returns an encoder that writes into b from its start, for a
+// caller that owns the storage (a pooled message's own buffer): a payload
+// that fits cap(b) is encoded without allocating.
+func EncOver(b []byte) Enc { return Enc{buf: b[:0]} }
+
 // U8 appends one byte.
 func (e *Enc) U8(v uint8) *Enc {
 	e.buf = append(e.buf, v)

@@ -166,13 +166,17 @@ func (m *Map) faultOnce(addr, extent uint64, desired Prot) (retry bool, err erro
 	}
 
 	// Step 3: copy-on-write resolution — the page lives in an ancestor
-	// and the task wants to write: copy it into the first object.
+	// and the task wants to write: copy it into the first object. The
+	// ancestor page stays busy while allocFrameLocked may drop the lock,
+	// so that the pageout daemon cannot free it under the copy.
 	if obj != res.firstObj && desired&ProtWrite != 0 {
 		np := s.pageInsert(res.firstObj, res.firstOff)
 		np.busy = true
+		p.busy = true
 		f := s.allocFrameLocked(false)
 		s.assignFrameLocked(np, f)
 		copy(s.frames.Bytes(f), s.frames.Bytes(p.frame))
+		p.busy = false
 		np.busy = false
 		np.dirty = true
 		s.stats.CowFaults++
@@ -286,6 +290,7 @@ func (m *Map) faultPageIn(res resolution, obj *Object, off, pages uint64, desire
 	ps := s.PageSize()
 	p := s.pageInsert(obj, off)
 	p.busy, p.absent = true, true
+	gen := p.gen
 	n := s.pageInRun(res.firstObj, res.firstOff, obj, off, pages)
 	grant := s.lendLocked(obj, off, int(n))
 	pager := obj.pager
@@ -298,15 +303,14 @@ func (m *Map) faultPageIn(res resolution, obj *Object, off, pages uint64, desire
 	if s.fault.Timeout > 0 {
 		deadline = time.Now().Add(s.fault.Timeout)
 	}
-	for p.absent && p.pageError == nil {
+	// A page that failed can be freed by another fault meanwhile, and its
+	// structure recycled: p is ours only while its generation holds.
+	for p.gen == gen && p.absent && p.pageError == nil {
 		if s.waitCondLocked(deadline) {
 			continue
 		}
 		// Timed out: the data manager did not return data. Abort the
 		// memory request or substitute zero-filled memory.
-		if !p.absent || p.pageError != nil {
-			break
-		}
 		// A manager that lets a fault time out may never answer, and
 		// would keep whatever frames it was lent: lend it no more.
 		obj.noLend = true
@@ -337,6 +341,7 @@ func (m *Map) faultUnlock(obj *Object, off uint64, p *Page, needed Prot) error {
 	s := m.sys
 	ps := s.PageSize()
 	s.stats.UnlockWaits++
+	gen := p.gen
 	pager := obj.pager
 	s.mu.Unlock()
 	if pager != nil {
@@ -348,7 +353,10 @@ func (m *Map) faultUnlock(obj *Object, off uint64, p *Page, needed Prot) error {
 	if s.fault.Timeout > 0 {
 		deadline = time.Now().Add(s.fault.Timeout)
 	}
-	for s.hash.lookup(obj, off) == p && p.lock&needed != 0 && p.pageError == nil {
+	// The manager may flush the page rather than unlock it, and a new
+	// fault may then cache the same offset in the recycled structure:
+	// p is ours only while its generation holds.
+	for p.gen == gen && p.lock&needed != 0 && p.pageError == nil {
 		if !s.waitCondLocked(deadline) {
 			s.mu.Unlock()
 			return ErrMemoryFailure

@@ -34,7 +34,9 @@ type Pager interface {
 	// asks for the copy path.
 	DataRequest(obj *Object, offset, length uint64, desired Prot, grant *FrameGrant)
 	// DataWrite corresponds to pager_data_write: dirty page contents
-	// are being returned to the data manager.
+	// are being returned to the data manager. data is valid only for
+	// the call: the pageout daemon recycles the buffer once DataWrite
+	// returns, so a pager copies what it keeps.
 	DataWrite(obj *Object, offset uint64, data []byte)
 	// DataUnlock corresponds to pager_data_unlock: a task needs more
 	// access to cached data than the manager's lock value permits.

@@ -47,6 +47,11 @@ type Page struct {
 	// pageError is set when a fault on this page must fail (memory
 	// failure, §6.2.1).
 	pageError error
+	// gen counts the lives of this structure: freePageLocked bumps it as
+	// it recycles the page, so whoever waited holding p tells its page
+	// from a new one that reuses the structure, even for the same
+	// object and offset.
+	gen uint32
 
 	// hnext chains the VP hash bucket.
 	hnext *Page

@@ -83,9 +83,9 @@ func (s *System) installLocked(p *Page, lock Prot) {
 // or failed and freed by its faulter; frameAbsentLocked then reports
 // false and p is left alone.
 func (s *System) frameAbsentLocked(p *Page) bool {
-	obj, off := p.object, p.offset
+	gen := p.gen
 	f := s.allocFrameLocked(false)
-	if s.hash.lookup(obj, off) != p || !p.absent {
+	if p.gen != gen || !p.absent {
 		s.frames.Free(f)
 		return false
 	}

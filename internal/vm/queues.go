@@ -37,10 +37,11 @@ type pageoutJob struct {
 }
 
 // balance frees pages until the free target is met or no further progress
-// is possible.
+// is possible. Each dirty page's contents are copied into a recycled page
+// buffer that goes back once its DataWrite has returned.
 func (s *System) balance() {
 	for {
-		var jobs []pageoutJob
+		jobs := s.jobs[:0]
 		var adopt []*Object
 
 		s.mu.Lock()
@@ -93,7 +94,7 @@ func (s *System) balance() {
 					}
 					adopt = append(adopt, obj)
 				}
-				data := make([]byte, s.PageSize())
+				data := s.pageBufLocked()
 				copy(data, s.frames.Bytes(p.frame))
 				// The page stays in the VP table, busy, until the
 				// write-back message is handed to the manager: a fault
@@ -139,8 +140,11 @@ func (s *System) balance() {
 			s.mu.Lock()
 			job.page.busy = false
 			s.freePageLocked(job.page)
+			s.putPageBufLocked(job.data)
 			s.mu.Unlock()
 		}
+		clear(jobs) // keep no object, pager or buffer reachable
+		s.jobs = jobs[:0]
 		if !progress {
 			return
 		}

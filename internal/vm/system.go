@@ -109,6 +109,16 @@ type System struct {
 
 	stats Statistics
 
+	// pageFree holds zeroed Page structures for pageInsert to reuse, and
+	// pageBufs the page buffers the pageout daemon copies dirty frames
+	// into for their pager_data_write; neither keeps more than the
+	// frame count.
+	pageFree []*Page
+	pageBufs [][]byte
+	// jobs is the pageout daemon's write-back list, kept across its
+	// passes (only the daemon touches it).
+	jobs []pageoutJob
+
 	daemonWake chan struct{}
 	daemonStop chan struct{}
 	daemonDone chan struct{}
@@ -333,16 +343,28 @@ func (s *System) pageLookup(obj *Object, offset uint64) *Page {
 }
 
 // pageInsert creates a resident-page structure for (obj, offset) with no
-// frame yet and links it into the hash and object list.
+// frame yet and links it into the hash and object list. The structure
+// may be one freePageLocked recycled.
 func (s *System) pageInsert(obj *Object, offset uint64) *Page {
-	p := &Page{object: obj, offset: offset, frame: machine.InvalidFrame}
+	var p *Page
+	if n := len(s.pageFree); n > 0 {
+		p = s.pageFree[n-1]
+		s.pageFree[n-1] = nil
+		s.pageFree = s.pageFree[:n-1]
+	} else {
+		p = new(Page)
+	}
+	p.object, p.offset, p.frame = obj, offset, machine.InvalidFrame
 	s.hash.insert(p)
 	obj.linkPage(p)
 	return p
 }
 
 // freePageLocked removes a page entirely: queues, hash, object list, and
-// its physical frame.
+// its physical frame. The structure is zeroed, but for its generation, and
+// recycled by pageInsert, so whoever holds a page across a wait
+// (cond.Wait, allocFrameLocked) either keeps it busy, which no path frees,
+// or checks after the wait that p.gen is still the one it saw.
 func (s *System) freePageLocked(p *Page) {
 	switch p.queue {
 	case queueActive:
@@ -356,9 +378,33 @@ func (s *System) freePageLocked(p *Page) {
 		s.pmapRemoveAll(p.frame)
 		delete(s.frame2page, p.frame)
 		s.frames.Free(p.frame)
-		p.frame = machine.InvalidFrame
+	}
+	*p = Page{gen: p.gen + 1}
+	if len(s.pageFree) < s.frames.TotalFrames() {
+		s.pageFree = append(s.pageFree, p)
 	}
 	s.cond.Broadcast()
+}
+
+// pageBufLocked returns a page-sized buffer for the pageout daemon to
+// carry a dirty page's contents to its pager. System lock held.
+func (s *System) pageBufLocked() []byte {
+	if n := len(s.pageBufs); n > 0 {
+		b := s.pageBufs[n-1]
+		s.pageBufs[n-1] = nil
+		s.pageBufs = s.pageBufs[:n-1]
+		return b
+	}
+	return make([]byte, s.PageSize())
+}
+
+// putPageBufLocked recycles a pageBufLocked buffer once the DataWrite
+// that carried it has returned (the Pager contract: data is valid only
+// for the call). System lock held.
+func (s *System) putPageBufLocked(b []byte) {
+	if len(s.pageBufs) < s.frames.TotalFrames() {
+		s.pageBufs = append(s.pageBufs, b)
+	}
 }
 
 // assignFrameLocked binds a freshly allocated frame to a page.
