@@ -247,14 +247,15 @@ func BenchmarkNoSendersRoundTrip(b *testing.B) {
 		if m.ID != mach.MsgIDNoSenders {
 			b.Fatalf("notification ID %d", m.ID)
 		}
+		m.Release()
 	}
 }
 
 // BenchmarkPortSetRPCRoundTrip measures a full typed RPC round trip
 // against three services hosted on ONE space two ways: each service
 // with its own dedicated Run loop (three goroutines), and all three
-// multiplexed onto a single goroutine over a port set
-// (rpc.Server.ServePorts). The port-set path must stay within ~10% of
+// served by one receiver of a single loop (the first server's, holding
+// the other two ports). The port-set path must stay within ~10% of
 // the dedicated-loop number — the price of one receive point for many
 // ports is a set-waiter handoff and a short member scan, not a
 // broadcast.
@@ -289,7 +290,12 @@ func BenchmarkPortSetRPCRoundTrip(b *testing.B) {
 			clients[i] = mach.NewRPCClient(client.Space, svc, 30*time.Second)
 		}
 		if portset {
-			go srvs[0].ServePorts(srvs[1], srvs[2])
+			for _, srv := range srvs[1:] {
+				if err := srvs[0].Loop.Serve(srv.Port, srv.Serve); err != nil {
+					b.Fatal(err)
+				}
+			}
+			go srvs[0].Run()
 		} else {
 			for _, srv := range srvs {
 				go srv.Run()
@@ -753,7 +759,7 @@ func BenchmarkMulticoreFanIn(b *testing.B) {
 }
 
 // BenchmarkMulticoreRPC: `procs` clients issue pooled typed calls
-// against one echo service with a worker pool sized to match.
+// against one echo service whose loop runs as many receivers.
 func BenchmarkMulticoreRPC(b *testing.B) {
 	const msgEcho mach.MsgID = 9700
 	for _, procs := range benchProcs {
@@ -762,7 +768,7 @@ func BenchmarkMulticoreRPC(b *testing.B) {
 				k := mach.NewKernel(mach.Config{Frames: 256, PageSize: 4096})
 				defer k.Shutdown()
 				server := k.NewTask()
-				srv, err := mach.NewRPCServer(server.Space, mach.WithRPCWorkers(procs))
+				srv, err := mach.NewRPCServer(server.Space)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -775,7 +781,7 @@ func BenchmarkMulticoreRPC(b *testing.B) {
 					r.U64(v)
 					return r, nil
 				})
-				go srv.Run()
+				go srv.Loop.Run(procs)
 				defer srv.Stop()
 				per := b.N / procs
 				if per == 0 {
@@ -820,8 +826,8 @@ func BenchmarkMulticoreRPC(b *testing.B) {
 }
 
 // BenchmarkMulticorePortSet: `procs` clients call three services
-// multiplexed through one port-set receive loop (ServePorts) — set
-// handoff under parallel load.
+// multiplexed through one loop with one receiver — set handoff under
+// parallel load.
 func BenchmarkMulticorePortSet(b *testing.B) {
 	const msgEcho mach.MsgID = 9600
 	for _, procs := range benchProcs {
@@ -846,8 +852,11 @@ func BenchmarkMulticorePortSet(b *testing.B) {
 						return r, nil
 					})
 					srvs[i] = srv
+					if err := srvs[0].Loop.Serve(srv.Port, srv.Serve); err != nil {
+						b.Fatal(err)
+					}
 				}
-				go srvs[0].ServePorts(srvs[1], srvs[2])
+				go srvs[0].Run()
 				defer func() {
 					for _, srv := range srvs {
 						srv.Stop()

@@ -250,18 +250,18 @@ func mcoreRPC(procs, msgs int) (int, error) {
 	k := mach.NewKernel(mach.Config{Frames: 256, PageSize: 4096})
 	defer k.Shutdown()
 	server := k.NewTask()
-	srv, err := mach.NewRPCServer(server.Space, mach.WithRPCWorkers(procs))
+	srv, err := mach.NewRPCServer(server.Space)
 	if err != nil {
 		return 0, err
 	}
 	srv.Handle(mcoreEcho, mcoreEchoHandler)
-	go srv.Run()
+	go srv.Loop.Run(procs)
 	defer srv.Stop()
 	return mcoreCallers(k, server, []*mach.RPCServer{srv}, procs, msgs)
 }
 
 // mcorePortSet: procs clients spread over three services demuxed by one
-// port-set receive loop.
+// loop with one receiver.
 func mcorePortSet(procs, msgs int) (int, error) {
 	k := mach.NewKernel(mach.Config{Frames: 256, PageSize: 4096})
 	defer k.Shutdown()
@@ -274,8 +274,11 @@ func mcorePortSet(procs, msgs int) (int, error) {
 		}
 		srv.Handle(mcoreEcho, mcoreEchoHandler)
 		srvs[i] = srv
+		if err := srvs[0].Loop.Serve(srv.Port, srv.Serve); err != nil {
+			return 0, err
+		}
 	}
-	go srvs[0].ServePorts(srvs[1], srvs[2])
+	go srvs[0].Run()
 	defer func() {
 		for _, srv := range srvs {
 			srv.Stop()

@@ -40,7 +40,7 @@ func startStatsWorkload() (*statsWorkload, error) {
 	w := &statsWorkload{kernels: kernels, stop: make(chan struct{})}
 
 	server := kernels[0].NewTask()
-	srv, err := mach.NewRPCServer(server.Space, mach.WithRPCWorkers(2))
+	srv, err := mach.NewRPCServer(server.Space)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func startStatsWorkload() (*statsWorkload, error) {
 		r.U64(v)
 		return r, nil
 	})
-	go srv.Run()
+	go srv.Loop.Run(2)
 	if err := mach.NetMsgCheckIn(server, "echo", srv.Port); err != nil {
 		return nil, err
 	}

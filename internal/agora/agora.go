@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/ipc"
 	"repro/internal/kern"
-	"repro/internal/lifecycle"
 	"repro/internal/netmem"
 	"repro/internal/rpc"
 )
@@ -68,7 +67,6 @@ type Board struct {
 	srv    *netmem.Server
 	local  *Agent // the board's own mapping, used by the broker
 	broker *rpc.Server
-	lcw    *lifecycle.Watcher
 
 	// BrokerPort receives message-passing agents' requests.
 	BrokerPort ipc.Name
@@ -112,9 +110,6 @@ func NewBoard(k *kern.Kernel, srv *netmem.Server, slots int) (*Board, error) {
 
 // Stop shuts the broker down.
 func (b *Board) Stop() {
-	if b.lcw != nil {
-		b.lcw.Stop()
-	}
 	b.broker.Stop()
 	b.task.Terminate()
 }
@@ -125,11 +120,7 @@ func (b *Board) Stop() {
 // Tightly coupled (shared memory) agents are unaffected. Call after the
 // board is set up; broker rights published afterwards count.
 func (b *Board) RetireBrokerWhenUnreferenced() error {
-	if b.lcw == nil {
-		b.lcw = lifecycle.New(b.task.Space)
-		go b.lcw.Run()
-	}
-	return b.broker.StopWhenUnreferenced(b.lcw)
+	return b.broker.StopWhenUnreferenced(nil)
 }
 
 // BrokerRetired reports whether the broker has stopped (by Stop or by

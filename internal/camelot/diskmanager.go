@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ipc"
 	"repro/internal/kern"
-	"repro/internal/lifecycle"
 	"repro/internal/machine"
 	"repro/internal/pager"
 	"repro/internal/rpc"
@@ -66,7 +65,6 @@ type DiskManager struct {
 	task   *kern.Task
 	mgr    *pager.Manager
 	rpc    *rpc.Server
-	lc     *lifecycle.Watcher
 
 	// dataDisk holds recoverable segment pages: a simulated
 	// machine.Disk, or a FileVolume / FramePool for a durable manager.
@@ -139,12 +137,10 @@ func newManager(k *kern.Kernel, dataDisk pager.BlockStore, wal *WAL) (*DiskManag
 	}
 	RegisterCamelotServer(srv, (*dmService)(dm))
 	dm.rpc = srv
-	// Lifecycle notifications (segment no-senders) are consumed ahead
-	// of the service demux; both run on the manager loop.
-	dm.lc = lifecycle.New(dm.task.Space)
-	dm.mgr.Default = dm.lc.Chain(srv.Dispatch)
 	dm.ServicePort = srv.Port
-	if err := dm.mgr.Adopt(srv.Port); err != nil {
+	// Service requests share the manager's loop with the pager calls
+	// and the lifecycle notifications (segment no-senders).
+	if err := dm.mgr.Loop.Serve(srv.Port, srv.Serve); err != nil {
 		return nil, err
 	}
 	go dm.commitLoop()
@@ -435,7 +431,7 @@ func (h *dmService) AttachSegment(m *ipc.Message, in *AttachSegmentRequest) (*At
 	// page-LSN tracking for the segment is dropped. Recovery rolls the
 	// loser back — the kill-the-client path is just crash recovery in
 	// miniature.
-	if err := dm.lc.OnNoSenders(seg.mo.Port, dm.reapSegment); err != nil {
+	if err := dm.mgr.Watcher.OnNoSenders(seg.mo.Port, dm.reapSegment); err != nil {
 		return nil, err
 	}
 	return &AttachSegmentReply{Size: seg.size, ID: seg.id, Object: seg.mo.Port}, nil

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/ipc"
 	"repro/internal/kern"
-	"repro/internal/lifecycle"
 	"repro/internal/machine"
 	"repro/internal/pager"
 	"repro/internal/rpc"
@@ -71,7 +70,6 @@ type Server struct {
 	mgr    *pager.Manager
 	disk   *machine.Disk
 	rpc    *rpc.Server
-	lc     *lifecycle.Watcher
 
 	mu       sync.Mutex
 	files    map[string]*file
@@ -107,12 +105,10 @@ func NewServer(k *kern.Kernel, disk *machine.Disk) (*Server, error) {
 	}
 	RegisterFSServer(srv, (*fsService)(s))
 	s.rpc = srv
-	// Lifecycle notifications (open-handle no-senders) are consumed
-	// ahead of the service demux; both run on the manager loop.
-	s.lc = lifecycle.New(s.task.Space)
-	s.mgr.Default = s.lc.Chain(srv.Dispatch)
 	s.ServicePort = srv.Port
-	if err := s.mgr.Adopt(srv.Port); err != nil {
+	// Service requests share the manager's loop with the pager calls
+	// and the lifecycle notifications (open-handle no-senders).
+	if err := s.mgr.Loop.Serve(srv.Port, srv.Serve); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -415,7 +411,7 @@ func (h *fsService) Open(m *ipc.Message, in *OpenRequest) (*OpenReply, error) {
 	s.mu.Lock()
 	s.sessions[sp] = &session{f: f, port: sp}
 	s.mu.Unlock()
-	if err := s.lc.OnNoSenders(sp, s.reapSession); err != nil {
+	if err := s.mgr.Watcher.OnNoSenders(sp, s.reapSession); err != nil {
 		s.mu.Lock()
 		delete(s.sessions, sp)
 		s.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/ipc"
 )
 
 func waitForSessions(t *testing.T, srv *Server, want int) {
@@ -115,5 +117,59 @@ func TestOpenHandleReapedOnClientDeath(t *testing.T) {
 	}
 	if srv.SessionsReaped() != 2 {
 		t.Fatalf("sessions reaped %d, want 2", srv.SessionsReaped())
+	}
+}
+
+// TestForgedPortDeathIgnored: a client forges the kernel's port-death
+// notice for a mapped file's request port and sends it to the service
+// port. Notices are acted on only where the kernel posts them — the
+// notify port — so the object stays registered and the file still reads
+// through its mapping.
+func TestForgedPortDeathIgnored(t *testing.T) {
+	_, srv, client := newFS(t)
+	content := bytes.Repeat([]byte("forged "), 100)
+	if err := srv.CreateFile("f", content); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := srv.Publish(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, size, err := ReadFile(client, svc, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	mo := srv.files["f"].mo
+	srv.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for !srv.mgr.RequestPortReady(mo) {
+		if time.Now().After(deadline) {
+			t.Fatal("pager_init never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	forged := &ipc.Message{
+		ID:         ipc.MsgIDPortDeleted,
+		RemotePort: svc,
+		Sections:   []ipc.Section{ipc.InlineBytes(ipc.EncodeName(mo.Request))},
+	}
+	if err := client.Space.Send(forged, ipc.SendOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// A call behind the forgery on the same port: once it is answered,
+	// the forged notice has been served.
+	if _, err := List(client, svc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := srv.mgr.Object(mo.Port); !ok {
+		t.Fatal("a forged port-death notice unregistered the file's memory object")
+	}
+	got, err := client.VMRead(addr, size)
+	if err != nil {
+		t.Fatalf("read through the mapping after the forgery: %v", err)
+	}
+	if !bytes.Equal(got, content) {
+		t.Fatal("content mismatch after the forgery")
 	}
 }

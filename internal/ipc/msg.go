@@ -215,7 +215,7 @@ func (s *Space) Receive(from Name, opts ReceiveOptions) (*Message, error) {
 	var err error
 	if set := e.set; set != nil {
 		sh.mu.RUnlock()
-		m, err = set.receive(opts)
+		m, _, err = set.receive(opts)
 	} else if e.rights&ReceiveRight == 0 {
 		sh.mu.RUnlock()
 		return nil, ErrNotReceiver
@@ -227,6 +227,14 @@ func (s *Space) Receive(from Name, opts ReceiveOptions) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.received(m)
+	return m, nil
+}
+
+// received accounts a message a receive took off a queue of this space
+// and delivers it: the receive metrics and trace hop, then the carried
+// rights installed under this space's names.
+func (s *Space) received(m *Message) {
 	s.met.Receives.Inc()
 	if m.sentAt != 0 {
 		s.met.Latency.Record(time.Now().UnixNano() - m.sentAt)
@@ -240,7 +248,6 @@ func (s *Space) Receive(from Name, opts ReceiveOptions) (*Message, error) {
 		obs.RecordHop(int32(s.host), m.trace, obs.HopReceive, int32(m.ID), pid)
 	}
 	s.deliver(m)
-	return m, nil
 }
 
 // deliver installs in-flight rights into the space and rewrites the

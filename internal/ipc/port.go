@@ -142,6 +142,10 @@ type Port struct {
 	// be delivered twice. Guarded by mu; the set's own lock is ordered
 	// before mu, so holders of mu hand set wakeups off after unlocking.
 	inSet *portSet
+	// serve is the handler a Loop dispatches this member's messages to,
+	// set with inSet by the membership change that made it a member (nil
+	// for a plain MoveToPortSet). Guarded by mu.
+	serve Handler
 }
 
 func newPort(receiver *Space) *Port {
@@ -456,21 +460,22 @@ func (p *Port) cancelWait(w *recvWaiter) (*Message, error) {
 }
 
 // tryDequeueFor removes the oldest message without blocking, on behalf
-// of a receive on set. The membership check runs under the port lock,
+// of a receive on set, with the handler the member carries. The membership check runs under the port lock,
 // so a set scan never takes a message from a port that left the set —
 // one message, one delivery path, even under concurrent membership
 // churn.
-func (p *Port) tryDequeueFor(set *portSet) (*Message, bool) {
+func (p *Port) tryDequeueFor(set *portSet) (*Message, Handler, bool) {
 	p.mu.Lock()
 	if p.inSet != set || p.queue.n == 0 {
 		p.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	m := p.queue.pop()
+	h := p.serve
 	p.sendCond.Broadcast()
 	p.mu.Unlock()
 	set.discharge(1)
-	return m, true
+	return m, h, true
 }
 
 // currentSet returns the set this port belongs to, if any.

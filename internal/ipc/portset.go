@@ -153,12 +153,12 @@ func (ps *portSet) rebuildLocked() {
 	ps.sorted = out
 }
 
-// addMember installs p (named n in the owning space) as a member. It
-// returns errRetry when p concurrently belongs to another set — the
+// addMember installs p (named n in the owning space) as a member
+// carrying handler h, or gives an existing member h. It returns errRetry when p concurrently belongs to another set — the
 // caller detaches it and tries again. Parked direct receivers are
 // failed with ErrInSet: once a port is in a set, its messages arrive
 // only through the set.
-func (ps *portSet) addMember(n Name, p *Port) error {
+func (ps *portSet) addMember(n Name, p *Port, h Handler) error {
 	ps.mu.Lock()
 	if ps.dead {
 		ps.mu.Unlock()
@@ -180,6 +180,9 @@ func (ps *portSet) addMember(n Name, p *Port) error {
 	}
 	if p.inSet != nil {
 		busy := p.inSet != ps
+		if !busy {
+			p.serve = h
+		}
 		p.mu.Unlock()
 		ps.mu.Unlock()
 		if busy {
@@ -188,6 +191,7 @@ func (ps *portSet) addMember(n Name, p *Port) error {
 		return nil
 	}
 	p.inSet = ps
+	p.serve = h
 	waiters := p.waiters
 	p.waiters = nil
 	qn := p.queue.n
@@ -361,9 +365,9 @@ func (ps *portSet) cancelWaiter(w *recvWaiter) {
 // membership under the port lock, so a scan can never take a message
 // from a port that concurrently left the set (or was never in it), so
 // no message is delivered twice.
-func (ps *portSet) scan(sorted []setMember) (*Message, bool) {
+func (ps *portSet) scan(sorted []setMember) (*Message, Handler, bool) {
 	if len(sorted) == 0 {
-		return nil, false
+		return nil, nil, false
 	}
 	start := 0
 	last := Name(ps.cursor.Load())
@@ -375,19 +379,20 @@ func (ps *portSet) scan(sorted []setMember) (*Message, bool) {
 	}
 	for i := range sorted {
 		c := sorted[(start+i)%len(sorted)]
-		if m, ok := c.p.tryDequeueFor(ps); ok {
+		if m, h, ok := c.p.tryDequeueFor(ps); ok {
 			ps.cursor.Store(uint32(c.n))
-			return m, true
+			return m, h, true
 		}
 	}
-	return nil, false
+	return nil, nil, false
 }
 
 // receive takes the next message from any member (msg_receive on a port
 // set). An empty set fails with ErrNoEnabledPorts — which is how a
 // multiplexed server loop learns that every port it served has shut
-// down — and a destroyed set fails with the destruction reason.
-func (ps *portSet) receive(opts ReceiveOptions) (*Message, error) {
+// down — and a destroyed set fails with the destruction reason. The
+// handler is the one the message's member carries.
+func (ps *portSet) receive(opts ReceiveOptions) (*Message, Handler, error) {
 	var deadline time.Time
 	if opts.Timeout > 0 {
 		deadline = time.Now().Add(opts.Timeout)
@@ -397,11 +402,11 @@ func (ps *portSet) receive(opts ReceiveOptions) (*Message, error) {
 		if ps.dead {
 			err := ps.err
 			ps.mu.Unlock()
-			return nil, err
+			return nil, nil, err
 		}
 		if len(ps.members) == 0 {
 			ps.mu.Unlock()
-			return nil, ErrNoEnabledPorts
+			return nil, nil, ErrNoEnabledPorts
 		}
 		sorted := ps.sorted
 		var w *recvWaiter
@@ -413,14 +418,14 @@ func (ps *portSet) receive(opts ReceiveOptions) (*Message, error) {
 		}
 		ps.mu.Unlock()
 
-		if m, ok := ps.scan(sorted); ok {
+		if m, h, ok := ps.scan(sorted); ok {
 			if w != nil {
 				ps.cancelWaiter(w)
 			}
-			return m, nil
+			return m, h, nil
 		}
 		if opts.NonBlocking {
-			return nil, ErrWouldBlock
+			return nil, nil, ErrWouldBlock
 		}
 
 		if deadline.IsZero() {
@@ -428,20 +433,20 @@ func (ps *portSet) receive(opts ReceiveOptions) (*Message, error) {
 		} else {
 			d := time.Until(deadline)
 			if d <= 0 {
-				return nil, ps.timeoutWaiter(w)
+				return nil, nil, ps.timeoutWaiter(w)
 			}
 			w.armTimer(d)
 			select {
 			case <-w.ready:
 				w.disarmTimer()
 			case <-w.timer.C:
-				return nil, ps.timeoutWaiter(w)
+				return nil, nil, ps.timeoutWaiter(w)
 			}
 		}
 		err := w.err
 		putWaiter(w)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// A rescan signal: loop, re-register, scan again.
 	}
@@ -500,6 +505,12 @@ func (s *Space) MoveToPortSet(set, member Name) error {
 	if err != nil {
 		return err
 	}
+	return s.moveToSet(ps, member, nil)
+}
+
+// moveToSet makes the receive right named member a member of ps
+// carrying handler h.
+func (s *Space) moveToSet(ps *portSet, member Name, h Handler) error {
 	sh := s.shardFor(member)
 	sh.mu.RLock()
 	e, ok := sh.names[member]
@@ -521,7 +532,7 @@ func (s *Space) MoveToPortSet(set, member Name) error {
 		return ErrDeadName
 	}
 	for {
-		switch err := ps.addMember(member, p); err {
+		switch err := ps.addMember(member, p, h); err {
 		case errRetry:
 			if cur := p.currentSet(); cur != nil {
 				cur.removeMember(p)

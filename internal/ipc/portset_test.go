@@ -451,7 +451,7 @@ func TestPortSetCannotCaptureMigratingRight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.addMember(n, p); err != ErrNotReceiver {
+	if err := ps.addMember(n, p, nil); err != ErrNotReceiver {
 		t.Fatalf("captured a migrating receive right: %v, want ErrNotReceiver", err)
 	}
 	if ms, _ := s.PortSetMembers(set); len(ms) != 0 {

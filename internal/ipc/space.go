@@ -682,19 +682,19 @@ func (s *Space) notifyPortDeath(p *Port) {
 	}
 	sh.mu.Unlock()
 
-	s.postNotification(&Message{
-		ID:       MsgIDPortDeleted,
-		Sections: []Section{InlineBytes(EncodeName(n))},
-	})
+	s.postNotification(s.notify, notification(MsgIDPortDeleted, EncodeName(n)))
 	if dnNotify != 0 {
-		m := &Message{
-			ID:       MsgIDDeadName,
-			Sections: []Section{InlineBytes(EncodeDeadName(n, gen))},
-		}
-		if np, err := s.Resolve(dnNotify); err != nil || !np.enqueueNotify(m, NotifyQueueCap) {
-			s.deadLetter()
-		}
+		s.postNotification(dnNotify, notification(MsgIDDeadName, EncodeDeadName(n, gen)))
 	}
+}
+
+// notification builds a kernel notification as a pooled message, which
+// its receiver releases like any other.
+func notification(id MsgID, payload []byte) *Message {
+	m := GetMessage()
+	m.ID = id
+	m.InlineCopy(payload)
+	return m
 }
 
 // notifyNoSenders delivers a MsgIDNoSenders message for port p, fired
@@ -708,18 +708,17 @@ func (s *Space) notifyNoSenders(p *Port, msCount uint32) {
 	if !ok {
 		return
 	}
-	s.postNotification(&Message{
-		ID:       MsgIDNoSenders,
-		Sections: []Section{InlineBytes(EncodeNoSenders(n, msCount))},
-	})
+	s.postNotification(s.notify, notification(MsgIDNoSenders, EncodeNoSenders(n, msCount)))
 }
 
-// postNotification enqueues a kernel notification on the space's notify
-// port, bypassing the backlog but bounded by NotifyQueueCap;
-// undeliverable notifications count as dead letters.
-func (s *Space) postNotification(m *Message) {
-	np, err := s.Resolve(s.notify)
+// postNotification enqueues a kernel notification on the named port of
+// this space (its notify port, or the one a dead-name request named),
+// bypassing the backlog but bounded by NotifyQueueCap; an undeliverable
+// notification counts as a dead letter and goes back to the pool.
+func (s *Space) postNotification(to Name, m *Message) {
+	np, err := s.Resolve(to)
 	if err != nil || !np.enqueueNotify(m, NotifyQueueCap) {
+		m.Release()
 		s.deadLetter()
 	}
 }

@@ -7,13 +7,12 @@ import (
 	"repro/internal/ipc"
 )
 
-// TestWatcherOnDeadName: a Run-mode watcher fires the dead-name
+// TestWatcherOnDeadName: a watcher served on a loop fires the dead-name
 // callback when the watched send right's port dies elsewhere.
 func TestWatcherOnDeadName(t *testing.T) {
 	client := newSpace()
 	w := New(client)
-	go w.Run()
-	defer w.Stop()
+	serveWatcher(t, w)
 
 	server := newSpace()
 	defer server.Destroy()

@@ -12,15 +12,11 @@
 // rights outside their notification loop must tolerate a freshly handed
 // out right naming already-reaped state.)
 //
-// A Watcher integrates in one of two ways:
-//
-//   - Run (own goroutine): receives on the space's notify port. Use for
-//     spaces where no other loop consumes notifications (plain
-//     rpc.Server tasks).
-//   - Dispatch (embedded): a pager manager's port set holds the
-//     space's notify port, so servers built on one — fs, netmem,
-//     camelot — chain the watcher ahead of their application demux:
-//     Default = func(m) { if !w.Dispatch(m) { srv.Dispatch(m) } }.
+// A space has one Watcher, the handler of the space's notify port in the
+// task's ipc.Loop (ServeOn): a pager manager's space is watched by
+// pager.Manager.Watcher, which the manager and the servers embedded in
+// its loop — fs, netmem, camelot — all register with; a plain
+// rpc.Server serves its own on its loop.
 package lifecycle
 
 import (
@@ -29,13 +25,9 @@ import (
 	"repro/internal/ipc"
 )
 
-// msgWatcherStop is the private wakeup a Stop call sends to unblock a
-// Run loop parked on the notify port.
-const msgWatcherStop ipc.MsgID = -150
-
 // Watcher dispatches one space's lifecycle notifications to registered
-// callbacks. Callbacks run on the goroutine that calls Dispatch (the
-// Run loop, or the embedding manager loop).
+// callbacks. Callbacks run on the goroutine that calls Dispatch: a
+// receiver of the loop serving the notify port.
 type Watcher struct {
 	space *ipc.Space
 
@@ -43,7 +35,6 @@ type Watcher struct {
 	deaths    map[ipc.Name]func(ipc.Name)
 	noSenders map[ipc.Name]func(ipc.Name)
 	deadNames map[ipc.Name]func(ipc.Name)
-	stopped   bool
 }
 
 // New creates a watcher over a space's notifications. Use at most one
@@ -60,12 +51,26 @@ func New(space *ipc.Space) *Watcher {
 // Space returns the watched space.
 func (w *Watcher) Space() *ipc.Space { return w.space }
 
+// ServeOn makes w the handler of the space's notify port in l, the
+// loop that receives the space's notifications. Each is released once
+// dispatched.
+func (w *Watcher) ServeOn(l *ipc.Loop) error {
+	return l.Serve(w.space.NotifyPort(), func(m *ipc.Message) bool {
+		w.Dispatch(m)
+		return false
+	})
+}
+
 // OnPortDeath registers fn to run once when the named right's port dies
 // (the space must hold a send right for the kernel to notify it).
-// Registering again replaces the callback.
+// Registering again replaces the callback; a nil fn cancels it.
 func (w *Watcher) OnPortDeath(n ipc.Name, fn func(ipc.Name)) {
 	w.mu.Lock()
-	w.deaths[n] = fn
+	if fn == nil {
+		delete(w.deaths, n)
+	} else {
+		w.deaths[n] = fn
+	}
 	w.mu.Unlock()
 }
 
@@ -187,58 +192,4 @@ func (w *Watcher) Dispatch(m *ipc.Message) bool {
 		return true
 	}
 	return false
-}
-
-// Chain returns a dispatch function that consumes lifecycle
-// notifications and hands everything else to next — the canonical
-// manager-loop integration:
-//
-//	mgr.Default = w.Chain(srv.Dispatch)
-func (w *Watcher) Chain(next func(*ipc.Message)) func(*ipc.Message) {
-	return func(m *ipc.Message) {
-		if !w.Dispatch(m) {
-			next(m)
-		}
-	}
-}
-
-// Run receives on the space's notify port and dispatches until Stop is
-// called or the space dies. Only use it when no other loop receives the
-// space's notifications: in a pager manager's space the notify port is
-// a member of the manager's port set, and a direct receive fails with
-// ipc.ErrInSet. Embedded servers use Dispatch instead.
-func (w *Watcher) Run() {
-	notify := w.space.NotifyPort()
-	for {
-		m, err := w.space.Receive(notify, ipc.ReceiveOptions{})
-		if err != nil {
-			return
-		}
-		if m.ID == msgWatcherStop {
-			w.mu.Lock()
-			stopped := w.stopped
-			w.mu.Unlock()
-			if stopped {
-				return
-			}
-			continue
-		}
-		w.Dispatch(m)
-	}
-}
-
-// Stop wakes and terminates a Run loop. Dispatch-mode watchers need no
-// Stop.
-func (w *Watcher) Stop() {
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		return
-	}
-	w.stopped = true
-	w.mu.Unlock()
-	// The space holds a send right to its own notify port, so the
-	// wakeup is an ordinary (forced) self-send; if the space is already
-	// dead the Run loop has exited on its own.
-	_ = w.space.Send(&ipc.Message{ID: msgWatcherStop, RemotePort: w.space.NotifyPort()}, ipc.SendOptions{Force: true})
 }

@@ -23,13 +23,24 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestWatcherRunNoSenders: a Run-mode watcher fires the callback when a
-// client task dies holding the last send right.
+// serveWatcher serves w on a loop of its own, stopped when the test ends.
+func serveWatcher(t *testing.T, w *Watcher) *ipc.Loop {
+	t.Helper()
+	l := ipc.NewLoop(w.Space())
+	if err := w.ServeOn(l); err != nil {
+		t.Fatal(err)
+	}
+	go l.Run(1)
+	t.Cleanup(l.Stop)
+	return l
+}
+
+// TestWatcherRunNoSenders: a watcher served on a loop fires the callback
+// when a client task dies holding the last send right.
 func TestWatcherRunNoSenders(t *testing.T) {
 	server := newSpace()
 	w := New(server)
-	go w.Run()
-	defer w.Stop()
+	serveWatcher(t, w)
 
 	n, err := server.AllocatePort()
 	if err != nil {
@@ -170,14 +181,19 @@ func TestWatcherIgnoresForgedNotifications(t *testing.T) {
 	}
 }
 
-// TestWatcherStop: Stop unblocks a Run loop promptly.
+// TestWatcherStop: stopping the loop that serves a watcher unblocks its
+// receiver promptly.
 func TestWatcherStop(t *testing.T) {
 	s := newSpace()
 	w := New(s)
+	l := ipc.NewLoop(s)
+	if err := w.ServeOn(l); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan struct{})
-	go func() { w.Run(); close(done) }()
+	go func() { l.Run(1); close(done) }()
 	time.Sleep(5 * time.Millisecond)
-	w.Stop()
+	l.Stop()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/ipc"
 	"repro/internal/kern"
-	"repro/internal/lifecycle"
 	"repro/internal/pager"
 	"repro/internal/rpc"
 	"repro/internal/vm"
@@ -108,13 +107,11 @@ type Server struct {
 	task   *kern.Task
 	mgr    *pager.Manager
 	rpc    *rpc.Server
-	lc     *lifecycle.Watcher
 
-	mu        sync.Mutex
-	regions   map[string]*region
-	byAckPort map[ipc.Name]*region
-	byObject  map[ipc.Name]*region
-	stats     Stats
+	mu       sync.Mutex
+	regions  map[string]*region
+	byObject map[ipc.Name]*region
+	stats    Stats
 
 	// ServicePort receives client create/attach requests.
 	ServicePort ipc.Name
@@ -125,11 +122,10 @@ type Server struct {
 // sharing the topology.
 func NewServer(k *kern.Kernel) (*Server, error) {
 	s := &Server{
-		kernel:    k,
-		task:      k.NewTask(),
-		regions:   make(map[string]*region),
-		byAckPort: make(map[ipc.Name]*region),
-		byObject:  make(map[ipc.Name]*region),
+		kernel:   k,
+		task:     k.NewTask(),
+		regions:  make(map[string]*region),
+		byObject: make(map[ipc.Name]*region),
 	}
 	s.mgr = pager.NewManager(s.task.Space, (*handler)(s))
 	srv, err := rpc.NewServer(s.task.Space)
@@ -137,16 +133,12 @@ func NewServer(k *kern.Kernel) (*Server, error) {
 		return nil, err
 	}
 	RegisterNetMemServer(srv, (*service)(s))
-	// Flush acknowledgements are one-way kernel notifications arriving
-	// on the regions' ack ports; they share the manager loop's demux.
-	srv.Handle(pager.MsgLockCompleted, s.handleFlushAck)
 	s.rpc = srv
-	// Lifecycle notifications (region no-senders) are consumed ahead of
-	// the service demux; both run on the manager loop.
-	s.lc = lifecycle.New(s.task.Space)
-	s.mgr.Default = s.lc.Chain(srv.Dispatch)
 	s.ServicePort = srv.Port
-	if err := s.mgr.Adopt(srv.Port); err != nil {
+	// Service requests share the manager's loop with the pager calls,
+	// the regions' flush acknowledgements and the lifecycle
+	// notifications (region no-senders).
+	if err := s.mgr.Loop.Serve(srv.Port, srv.Serve); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -203,13 +195,15 @@ func (s *Server) createRegion(name string, size uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := s.mgr.Adopt(ack); err != nil {
+	if err := s.mgr.Loop.Serve(ack, func(m *ipc.Message) bool {
+		s.flushAck(r, m)
+		return false
+	}); err != nil {
 		return err
 	}
 	r.ackPort = ack
 	s.mu.Lock()
 	s.regions[name] = r
-	s.byAckPort[ack] = r
 	s.byObject[mo.Port] = r
 	s.mu.Unlock()
 	return nil
@@ -241,7 +235,7 @@ func (h *service) AttachRegion(m *ipc.Message, in *AttachRegionRequest) (*Attach
 	// attach time — never at create — means a region lives until it has
 	// been attached at least once and every attachment right has died,
 	// whether by explicit deallocation or the client task's death.
-	if err := s.lc.OnNoSenders(r.object.Port, s.reapRegion); err != nil {
+	if err := s.mgr.Watcher.OnNoSenders(r.object.Port, s.reapRegion); err != nil {
 		return nil, err
 	}
 	return &AttachRegionReply{Size: r.size, Object: r.object.Port}, nil
@@ -258,7 +252,6 @@ func (s *Server) reapRegion(n ipc.Name) {
 	if r != nil {
 		delete(s.byObject, n)
 		delete(s.regions, r.name)
-		delete(s.byAckPort, r.ackPort)
 		s.stats.RegionReaps++
 	}
 	s.mu.Unlock()
@@ -363,27 +356,24 @@ func (h *handler) PortDeath(mo *pager.MemoryObject) {
 	}
 }
 
-// handleFlushAck: the kernel finished processing an invalidation. It is
-// a one-way notification (no reply is ever sent).
-func (s *Server) handleFlushAck(m *ipc.Message, d *rpc.Dec) (*rpc.Reply, error) {
-	s.mu.Lock()
-	r := s.byAckPort[m.LocalPort]
-	s.mu.Unlock()
-	if r == nil {
-		return nil, nil
+// flushAck handles a message on region r's ack port: the kernel finished
+// processing an invalidation. It is a one-way notification (no reply is
+// ever sent).
+func (s *Server) flushAck(r *region, m *ipc.Message) {
+	if m.ID != pager.MsgLockCompleted {
+		return
 	}
 	offset, _, _, wrote, _, ok := pager.DecodePayload(m.InlineData())
 	if !ok {
-		return nil, nil
+		return
 	}
 	p := r.pages[offset]
 	if p == nil {
-		return nil, nil
+		return
 	}
 	p.acksOut--
 	p.writesExp += int(wrote)
 	(*handler)(s).completeIfDone(r, p)
-	return nil, nil
 }
 
 // dispatch runs one event against the page state machine, deferring it if

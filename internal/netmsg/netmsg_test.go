@@ -464,7 +464,7 @@ func TestCrossHostStress(t *testing.T) {
 	const msgWork ipc.MsgID = 9400
 	k0, k1, _ := complex2(t)
 	server := k0.NewTask()
-	srv, err := rpc.NewServer(server.Space, rpc.WithWorkers(4))
+	srv, err := rpc.NewServer(server.Space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestCrossHostStress(t *testing.T) {
 		r.Carry(ipc.CarryRegion(reg))
 		return r, nil
 	})
-	go srv.Run()
+	go srv.Loop.Run(4)
 	defer srv.Stop()
 	checkIn(t, server, "work", srv.Port)
 

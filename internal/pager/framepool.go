@@ -57,9 +57,11 @@ type frame struct {
 	buf     []byte
 	block   int
 	dirty   bool
-	ref     bool          // clock reference bit (pool lock)
-	pins    int           // pool lock
-	loading chan struct{} // non-nil while fault I/O in flight (pool lock)
+	ref     bool // clock reference bit (pool lock)
+	pins    int  // pool lock
+	loading bool // fault I/O in flight (pool lock)
+	// loaded is broadcast when loading ends; its lock is the pool lock.
+	loaded sync.Cond
 }
 
 // NewFramePool builds a pool of nframes frames over store.
@@ -76,6 +78,7 @@ func NewFramePool(store BlockStore, nframes int) *FramePool {
 	for i := 0; i < nframes; i++ {
 		slab := ipc.AllocSlab(bs)
 		f := &frame{slab: slab, buf: slab.Bytes(), block: -1}
+		f.loaded.L = &fp.mu
 		fp.frames = append(fp.frames, f)
 		fp.free = append(fp.free, f)
 	}
@@ -122,16 +125,18 @@ func (fp *FramePool) frameFor(block int, fill bool) *frame {
 		if f := fp.index[block]; f != nil {
 			f.pins++
 			f.ref = true
-			loading := f.loading
-			fp.mu.Unlock()
-			if loading != nil {
-				// Another faulter is mid-I/O on this block; our pin
-				// keeps the frame ours once it lands.
-				<-loading
-			} else {
+			if !f.loading {
+				fp.mu.Unlock()
 				fp.hits.Add(1)
 				fp.met.WarmFaults.Inc()
+				return f
 			}
+			// Another faulter is mid-I/O on this block; our pin keeps
+			// the frame ours once it lands.
+			for f.loading {
+				f.loaded.Wait()
+			}
+			fp.mu.Unlock()
 			return f
 		}
 		var f *frame
@@ -151,8 +156,7 @@ func (fp *FramePool) frameFor(block int, fill bool) *frame {
 		f.block, f.dirty = block, false
 		f.pins = 1
 		f.ref = true
-		ch := make(chan struct{})
-		f.loading = ch
+		f.loading = true
 		fp.index[block] = f
 		fp.mu.Unlock()
 
@@ -173,9 +177,9 @@ func (fp *FramePool) frameFor(block int, fill bool) *frame {
 			}
 		}
 		fp.mu.Lock()
-		f.loading = nil
+		f.loading = false
+		f.loaded.Broadcast()
 		fp.mu.Unlock()
-		close(ch)
 		return f
 	}
 }
@@ -187,7 +191,7 @@ func (fp *FramePool) evictLocked() *frame {
 	for i := 0; i < 2*len(fp.frames); i++ {
 		f := fp.frames[fp.hand]
 		fp.hand = (fp.hand + 1) % len(fp.frames)
-		if f.pins > 0 || f.loading != nil {
+		if f.pins > 0 || f.loading {
 			continue
 		}
 		if f.ref {
@@ -213,7 +217,7 @@ func (fp *FramePool) unpin(f *frame) {
 func (fp *FramePool) Flush() {
 	for _, f := range fp.frames {
 		fp.mu.Lock()
-		if f.block < 0 || f.loading != nil {
+		if f.block < 0 || f.loading {
 			fp.mu.Unlock()
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/iomgr"
 	"repro/internal/machine"
@@ -211,5 +212,99 @@ func TestFileVolumeZeroFill(t *testing.T) {
 		if b != 0 {
 			t.Fatalf("fresh block byte %d = %x", i, b)
 		}
+	}
+}
+
+// A cold miss that evicts a dirty frame allocates nothing: the fault
+// writes the victim back, reads the block in, and any faulter that came
+// for the same block meanwhile waits on the frame's condition.
+func TestFramePoolColdMissAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const blocks, frames, bsize = 16, 4, 512
+	disk := machine.NewDisk(blocks, bsize, 0, nil)
+	fp := NewFramePool(disk, frames)
+	defer fp.Close()
+	page := make([]byte, bsize)
+	fills := make([][]byte, blocks)
+	for b := range fills {
+		fills[b] = fill(bsize, b)
+	}
+	blk := 0
+	fault := func() {
+		// Each block is written (dirtying its frame) and read back; by
+		// the time it comes round again its frame was evicted.
+		fp.Write(blk, fills[blk])
+		fp.Read(blk, page)
+		if page[0] != byte(blk+1) {
+			t.Fatalf("block %d read %x", blk, page[0])
+		}
+		blk = (blk + 1) % blocks
+	}
+	for i := 0; i < 2*blocks; i++ {
+		fault()
+	}
+	before := fp.Counters()
+	if n := testing.AllocsPerRun(200, fault); n != 0 {
+		t.Fatalf("cold miss with eviction allocates %v times", n)
+	}
+	after := fp.Counters()
+	if misses, wb := after.FrameMisses-before.FrameMisses, after.Writebacks-before.Writebacks; misses != 201 || wb != 201 {
+		t.Fatalf("%d misses and %d write-backs over 201 faults, want one each per fault", misses, wb)
+	}
+}
+
+// gatedStore holds every Read until the test opens the gate.
+type gatedStore struct {
+	BlockStore
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedStore) Read(block int, dst []byte) {
+	g.entered <- struct{}{}
+	<-g.gate
+	g.BlockStore.Read(block, dst)
+}
+
+// Faulters arriving for a block whose read is in flight wait for it
+// instead of reading again: one device read serves them all.
+func TestFramePoolConcurrentFaultersCoalesce(t *testing.T) {
+	const faulters, bsize = 4, 512
+	disk := machine.NewDisk(8, bsize, 0, nil)
+	disk.Write(3, fill(bsize, 3))
+	store := &gatedStore{BlockStore: disk, entered: make(chan struct{}, faulters), gate: make(chan struct{})}
+	fp := NewFramePool(store, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < faulters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, bsize)
+			fp.Read(3, buf)
+			if !bytes.Equal(buf, fill(bsize, 3)) {
+				t.Errorf("faulter read %x", buf[0])
+			}
+		}()
+	}
+	<-store.entered
+	// Every faulter has pinned the loading frame before the read lands.
+	for {
+		fp.mu.Lock()
+		pins := fp.index[3].pins
+		fp.mu.Unlock()
+		if pins == faulters {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(store.gate)
+	wg.Wait()
+	if reads := disk.Stats().Reads; reads != 1 {
+		t.Fatalf("%d device reads for one block, want 1", reads)
+	}
+	if c := fp.Counters(); c.FrameMisses != 1 || c.FrameHits != 0 {
+		t.Fatalf("misses %d hits %d, want 1 miss and the waiters counted as neither", c.FrameMisses, c.FrameHits)
 	}
 }

@@ -205,9 +205,8 @@ func (c *ObjectCache) ackFlush(msg *ipc.Message, offset, length uint64, wrote in
 // calls do not have explicit return arguments and the kernel does not
 // wait for acknowledgement"). Sends are forced past the backlog so the
 // kernel never blocks on an errant manager. Every call is a pooled
-// message: pager_data_request, pager_data_write and pager_data_unlock are
-// released by the receiving Manager's Dispatch once the handler returns,
-// and a message the port refuses is released here.
+// message, released by the receiving Manager's loop once the handler
+// returns; a message the port refuses is released here.
 type remotePager struct {
 	cache     *ObjectCache
 	moPort    *ipc.Port

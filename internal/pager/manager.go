@@ -1,13 +1,12 @@
 package pager
 
 import (
-	"bytes"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/ipc"
+	"repro/internal/lifecycle"
 	"repro/internal/vm"
 )
 
@@ -31,7 +30,7 @@ type MemoryObject struct {
 	Tag any
 
 	// grant holds the frame grant of the pager_data_request being
-	// dispatched until ProvideRange claims it; Dispatch discards a
+	// dispatched until ProvideRange claims it; the manager discards a
 	// grant the handler left.
 	grant atomic.Pointer[vm.FrameGrant]
 }
@@ -111,7 +110,7 @@ func (mo *MemoryObject) ProvideRange(offset, length, pageSize uint64, read func(
 // takeGrant claims the frame grant of the request being dispatched if
 // ProvideRange can fill it: lent by the kernel on this manager's host — a
 // grant never crosses a host — for the range at offset, in pages of
-// pageSize. A grant it cannot use stays for Dispatch to discard.
+// pageSize. A grant it cannot use stays for the manager to discard.
 func (mo *MemoryObject) takeGrant(offset, pageSize uint64) *vm.FrameGrant {
 	g := mo.grant.Swap(nil)
 	if g == nil {
@@ -221,8 +220,8 @@ type Handler interface {
 	DataRequest(mo *MemoryObject, offset, length uint64, desired vm.Prot)
 	// DataWrite returns modified data to the manager
 	// (pager_data_write). data is valid only for the call: it lies in
-	// the message's buffer, which Dispatch recycles once DataWrite
-	// returns, so a handler copies what it keeps.
+	// the message's buffer, which the manager's loop recycles once
+	// DataWrite returns, so a handler copies what it keeps.
 	DataWrite(mo *MemoryObject, offset uint64, data []byte)
 	// DataUnlock reports that a task needs more access than the
 	// manager's lock permits; answer with mo.DataLock
@@ -239,66 +238,63 @@ type Handler interface {
 
 // Manager is the service loop of a data-manager task: it receives the
 // kernel's calls on the task's memory object ports and dispatches them to
-// a Handler. Application-level messages (anything that is not a pager
-// call) go to Default.
+// a Handler.
 //
-// The loop receives on one port set, the paper's server shape (§4-§5):
-// the space's notify port, every object port, and whatever the owner
-// Adopts (an embedded rpc service port, an ack port) are its members,
-// drained with fair round-robin so a flooded port cannot starve the
-// rest.
+// It receives through one ipc.Loop, the paper's server shape (§4-§5):
+// every object port is a member served by the manager, the space's
+// notify port is served by Watcher, and the manager's owner adds its own
+// ports (an rpc service port, ack ports) with Loop.Serve, each with the
+// handler that serves it. The loop releases every message once its
+// handler returns, pager calls included.
 type Manager struct {
 	// Space is the manager task's port name space.
 	Space *ipc.Space
 	// Handler receives the decoded pager interface calls.
 	Handler Handler
-	// Default, if set, receives non-pager messages (the manager task's
-	// own service protocol).
-	Default func(*ipc.Message)
+	// Loop is the manager task's receive point.
+	Loop *ipc.Loop
+	// Watcher is the space's lifecycle watcher, the handler of its
+	// notify port in Loop. The manager registers each kernel's request
+	// port with it, and the owner its own notifications.
+	Watcher *lifecycle.Watcher
 
-	// set is the port set Run receives on; zero only when the space
-	// was already dead at NewManager.
-	set ipc.Name
+	// serveObject and requestDied are the manager's loop handler and
+	// port-death callback, bound once.
+	serveObject ipc.Handler
+	requestDied func(ipc.Name)
 
 	mu        sync.Mutex
 	byPort    map[ipc.Name]*MemoryObject // memory object port -> object
 	byRequest map[ipc.Name]*MemoryObject // request port -> object
-	// stopped keeps a Run that starts after Stop or Quiesce from
-	// serving; a running loop learns of either from its receive.
-	stopped bool
-	// done is closed when Run returns, and loop is the goroutine running
-	// it; both are zero until Run starts. Stop and Quiesce wait on done
-	// unless the loop itself calls them.
-	done chan struct{}
-	loop uint64
 }
 
 // NewManager wraps a space and handler into a manager service loop
-// context and moves the space's notify port into the loop's port set.
-// Call Run (usually in its own goroutine) to start serving.
+// context, with the space's notify port served by its Watcher. Call Run
+// (usually in its own goroutine) to start serving.
 func NewManager(space *ipc.Space, h Handler) *Manager {
 	m := &Manager{
 		Space:     space,
 		Handler:   h,
+		Loop:      ipc.NewLoop(space),
+		Watcher:   lifecycle.New(space),
 		byPort:    make(map[ipc.Name]*MemoryObject),
 		byRequest: make(map[ipc.Name]*MemoryObject),
 	}
-	// Both calls fail only on a dead space, where Run returns at once.
-	if set, err := space.AllocatePortSet(); err == nil {
-		m.set = set
-		_ = space.MoveToPortSet(set, space.NotifyPort())
-	}
+	m.serveObject, m.requestDied = m.serve, m.portDeath
+	// Fails only on a dead space, where Run returns at once.
+	_ = m.Watcher.ServeOn(m.Loop)
 	return m
 }
 
-// Adopt moves a receive right (a service port, an ack port) into the
-// manager's port set so its messages reach the Run loop.
+// Adopt moves a receive right the kernel sends pager calls to (a memory
+// object port, the default pager's bootstrap port) into the manager's
+// loop.
 func (m *Manager) Adopt(n ipc.Name) error {
-	return m.Space.MoveToPortSet(m.set, n)
+	return m.Loop.Serve(n, m.serveObject)
 }
 
 // NewObject allocates a fresh memory object port, moves it into the
-// manager's port set, and registers it. The returned MemoryObject has no
+// manager's loop, and registers it. The returned MemoryObject has no
 // request port until a kernel maps it (PagerInit). The send right to
 // hand to clients is the Port name.
 func (m *Manager) NewObject(tag any) (*MemoryObject, error) {
@@ -342,6 +338,7 @@ func (m *Manager) Remove(mo *MemoryObject) {
 	m.mu.Unlock()
 	_ = m.Space.DeallocatePort(mo.Port)
 	if mo.Request != 0 {
+		m.Watcher.OnPortDeath(mo.Request, nil)
 		_ = m.Space.DeallocatePort(mo.Request)
 	}
 	if mo.PagerName != 0 {
@@ -349,92 +346,28 @@ func (m *Manager) Remove(mo *MemoryObject) {
 	}
 }
 
-// Stop makes Run return, destroys the manager's space and waits for
-// Run to finish the message it is serving.
+// Run serves the manager's loop on the calling goroutine until Stop or
+// Quiesce, until the space is destroyed, or until the loop has no member
+// left — nothing can arrive then.
+func (m *Manager) Run() { m.Loop.Run(1) }
+
+// Stop destroys the manager's space and waits for Run to finish the
+// message it is serving and return.
 func (m *Manager) Stop() {
-	m.mu.Lock()
-	m.stopped = true
-	m.mu.Unlock()
 	m.Space.Destroy()
-	m.join()
+	m.Loop.Stop()
 }
 
-// Quiesce makes Run return without destroying the space, so the rights
+// Quiesce stops the loop without destroying the space, so the rights
 // the manager's owner still holds — the reply ports of requests it
-// answers later — stay usable until Stop. Destroying the port set is
-// what wakes a blocked Run. Like Stop, it waits for Run to return.
-func (m *Manager) Quiesce() {
-	m.mu.Lock()
-	m.stopped = true
-	m.mu.Unlock()
-	_ = m.Space.DeallocatePort(m.set) // fails only if the space already died, which ends Run too
-	m.join()
-}
+// answers later — stay usable until Stop. Like Stop, it waits for Run
+// to return.
+func (m *Manager) Quiesce() { m.Loop.Stop() }
 
-// join waits for a started Run to return. A handler that stops its own
-// manager runs on the loop's goroutine and must not wait for itself.
-func (m *Manager) join() {
-	m.mu.Lock()
-	done, loop := m.done, m.loop
-	m.mu.Unlock()
-	if done != nil && loop != goid() {
-		<-done
-	}
-}
-
-// goid returns the calling goroutine's id, read from the header line of
-// its stack trace ("goroutine 42 [running]:").
-func goid() uint64 {
-	var buf [32]byte
-	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
-	id := uint64(0)
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// Run is the manager service loop: it receives on the manager's port set
-// and dispatches pager calls to the Handler. Every message it receives
-// goes to Dispatch, which releases the kernel's pager_data_request,
-// pager_data_write and pager_data_unlock calls; every other message stays
-// with whoever Dispatch hands it to. It returns after Stop or Quiesce,
-// when the space is destroyed, or when the set has no member left —
-// nothing can arrive then.
-func (m *Manager) Run() {
-	done := make(chan struct{})
-	defer close(done)
-	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
-		return
-	}
-	m.done, m.loop = done, goid()
-	m.mu.Unlock()
-	for {
-		msg, err := m.Space.Receive(m.set, ipc.ReceiveOptions{})
-		if err != nil {
-			return
-		}
-		m.Dispatch(msg)
-	}
-}
-
-// Dispatch routes one received message. Exposed so tasks that run their
-// own receive loop can still use the pager machinery.
-//
-// Dispatch consumes the kernel's pager_data_request, pager_data_write and
-// pager_data_unlock calls the way a procedure call consumes its
-// arguments: after the handler returns — or at once, for a call naming no
-// object of this manager or carrying a short payload — it releases the
-// message to the ipc pool, so the caller must not touch it again. The
-// Handler only ever sees the decoded arguments. Every other message is
-// left as it was: pager_init and pager_create, port-death notices, and
-// what goes to Default, which may keep the message it is given.
-func (m *Manager) Dispatch(msg *ipc.Message) {
+// serve is the loop handler of every memory object port: it routes one
+// kernel call to the Handler. The Handler only ever sees the decoded
+// arguments, and the loop releases the message once serve returns.
+func (m *Manager) serve(msg *ipc.Message) bool {
 	switch msg.ID {
 	case MsgPagerInit:
 		m.handleInit(msg, false)
@@ -442,30 +375,22 @@ func (m *Manager) Dispatch(msg *ipc.Message) {
 		m.handleInit(msg, true)
 	case MsgDataRequest, MsgDataWrite, MsgDataUnlock:
 		m.kernelCall(msg)
-		// The handler has returned, and it saw only decoded arguments:
-		// Dispatch is the call's last owner.
-		msg.Release()
-	case ipc.MsgIDPortDeleted:
-		dead := ipc.DecodeName(msg.InlineData())
-		m.mu.Lock()
-		mo := m.byRequest[dead]
-		if mo != nil {
-			// Only the request-port registration is dropped here: a
-			// pager_data_write queued on the object port may still be
-			// in flight (kernel calls are asynchronous), so the
-			// object stays registered until the handler Removes it.
-			delete(m.byRequest, dead)
-		}
-		m.mu.Unlock()
-		if mo != nil {
-			m.Handler.PortDeath(mo)
-		} else if m.Default != nil {
-			m.Default(msg)
-		}
-	default:
-		if m.Default != nil {
-			m.Default(msg)
-		}
+	}
+	return false
+}
+
+// portDeath is the Watcher callback for a kernel's request port: only
+// the request-port registration is dropped here, because a
+// pager_data_write queued on the object port may still be in flight
+// (kernel calls are asynchronous), so the object stays registered until
+// the handler Removes it.
+func (m *Manager) portDeath(dead ipc.Name) {
+	m.mu.Lock()
+	mo := m.byRequest[dead]
+	delete(m.byRequest, dead)
+	m.mu.Unlock()
+	if mo != nil {
+		m.Handler.PortDeath(mo)
 	}
 }
 
@@ -548,6 +473,7 @@ func (m *Manager) handleInit(msg *ipc.Message, create bool) {
 		m.byPort[mo.Port] = mo
 		m.byRequest[mo.Request] = mo
 		m.mu.Unlock()
+		m.Watcher.OnPortDeath(mo.Request, m.requestDied)
 		m.Handler.PagerCreate(mo)
 		return
 	}
@@ -566,6 +492,7 @@ func (m *Manager) handleInit(msg *ipc.Message, create bool) {
 			sib := &MemoryObject{mgr: m, Port: mo.Port, Request: rights[0], PagerName: rights[1], Tag: mo.Tag}
 			m.byRequest[sib.Request] = sib
 			m.mu.Unlock()
+			m.Watcher.OnPortDeath(sib.Request, m.requestDied)
 			m.Handler.PagerInit(sib)
 			return
 		}
@@ -574,6 +501,7 @@ func (m *Manager) handleInit(msg *ipc.Message, create bool) {
 	}
 	m.mu.Unlock()
 	if mo != nil {
+		m.Watcher.OnPortDeath(mo.Request, m.requestDied)
 		m.Handler.PagerInit(mo)
 	}
 }

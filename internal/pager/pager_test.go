@@ -213,14 +213,18 @@ func TestDefaultPagerFreesBlocksOnDeath(t *testing.T) {
 	}
 }
 
+// An application port the owner serves in the manager's loop reaches its
+// own handler, which may keep the message.
 func TestManagerDefaultDispatch(t *testing.T) {
 	space := ipc.NewSpace(0, nil)
 	h := &recordingHandler{calls: make(chan string, 4)}
 	mgr := NewManager(space, h)
 	other := make(chan *ipc.Message, 1)
-	mgr.Default = func(m *ipc.Message) { other <- m }
 	svc, _ := space.AllocatePort()
-	if err := mgr.Adopt(svc); err != nil {
+	if err := mgr.Loop.Serve(svc, func(m *ipc.Message) bool {
+		other <- m
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
 	go mgr.Run()
@@ -235,7 +239,7 @@ func TestManagerDefaultDispatch(t *testing.T) {
 			t.Fatalf("default got %d", m.ID)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("application message not dispatched to Default")
+		t.Fatal("application message not dispatched to its port's handler")
 	}
 }
 
@@ -245,12 +249,12 @@ func TestStopJoinsRun(t *testing.T) {
 	space := ipc.NewSpace(0, nil)
 	mgr := NewManager(space, NopHandler{})
 	entered, release := make(chan struct{}), make(chan struct{})
-	mgr.Default = func(*ipc.Message) {
+	svc, _ := space.AllocatePort()
+	if err := mgr.Loop.Serve(svc, func(*ipc.Message) bool {
 		close(entered)
 		<-release
-	}
-	svc, _ := space.AllocatePort()
-	if err := mgr.Adopt(svc); err != nil {
+		return false
+	}); err != nil {
 		t.Fatal(err)
 	}
 	ran := make(chan struct{})
@@ -282,9 +286,11 @@ func TestStopJoinsRun(t *testing.T) {
 
 	space = ipc.NewSpace(0, nil)
 	mgr = NewManager(space, NopHandler{})
-	mgr.Default = func(*ipc.Message) { mgr.Stop() }
 	svc, _ = space.AllocatePort()
-	if err := mgr.Adopt(svc); err != nil {
+	if err := mgr.Loop.Serve(svc, func(*ipc.Message) bool {
+		mgr.Stop()
+		return false
+	}); err != nil {
 		t.Fatal(err)
 	}
 	ran = make(chan struct{})

@@ -27,8 +27,8 @@
 // — the header names the pages provided, and the grant holds them — or
 // with pager_data_unavailable, whose zero-fill then uses the grant's
 // frames.
-// A manager that does neither leaves the grant to Manager.Dispatch,
-// which gives it back; the answer is then the copy path, unchanged.
+// A manager that does neither leaves the grant to the Manager's loop
+// handler, which gives it back; the answer is then the copy path, unchanged.
 //
 // pager_data_unavailable is the exception to "length is only a hint": it
 // makes the kernel zero-fill every page it names that a fault is waiting

@@ -205,11 +205,11 @@ func TestBatchSectionReplyRejected(t *testing.T) {
 
 // testPairServerSpace is testPair returning the server's space instead
 // of the client's.
-func testPairServerSpace(t *testing.T, opts ...Option) (*Server, *Client, *ipc.Space) {
+func testPairServerSpace(t *testing.T) (*Server, *Client, *ipc.Space) {
 	t.Helper()
 	serverSpace := ipc.NewSpace(0, nil)
 	clientSpace := ipc.NewSpace(0, nil)
-	srv, err := NewServer(serverSpace, opts...)
+	srv, err := NewServer(serverSpace)
 	if err != nil {
 		t.Fatal(err)
 	}

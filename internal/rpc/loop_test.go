@@ -43,16 +43,28 @@ func multiServer(t *testing.T, n int) (space *ipc.Space, srvs []*Server, clients
 	return space, srvs, clients
 }
 
-// TestServePortsMultiplexes serves three distinct service ports from
-// ONE goroutine via a port set and proves calls to each port are
-// answered by its own handler table.
-func TestServePortsMultiplexes(t *testing.T) {
+// serveAll moves every other server's port into the first server's loop.
+func serveAll(t *testing.T, srvs []*Server) {
+	t.Helper()
+	for _, s := range srvs[1:] {
+		if err := srvs[0].Loop.Serve(s.Port, s.Serve); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLoopMultiplexesServers serves three distinct service ports from
+// ONE goroutine via one loop and proves calls to each port are answered
+// by its own handler table.
+func TestLoopMultiplexesServers(t *testing.T) {
 	_, srvs, clients := multiServer(t, 3)
+	serveAll(t, srvs)
 	var loops atomic32
-	done := make(chan error, 1)
+	done := make(chan struct{})
 	go func() {
 		loops.inc()
-		done <- srvs[0].ServePorts(srvs[1], srvs[2])
+		srvs[0].Run()
+		close(done)
 	}()
 	for i, c := range clients {
 		for j := 0; j < 8; j++ {
@@ -73,21 +85,18 @@ func TestServePortsMultiplexes(t *testing.T) {
 		s.Stop()
 	}
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("ServePorts: %v", err)
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("ServePorts did not return after all members stopped")
+		t.Fatal("the loop did not return after all members stopped")
 	}
 }
 
-// TestServePortsSingleGoroutine pins the "one goroutine" claim: N
-// concurrent clients against 3 multiplexed services are all served
-// while the process runs exactly one additional serving goroutine —
-// measured indirectly by the loop itself being the only dispatcher
+// TestLoopSingleReceiver pins the "one goroutine" claim: N concurrent
+// clients against 3 multiplexed services are all served while the
+// process runs exactly one additional serving goroutine — measured
+// indirectly by the loop's one receiver being the only dispatcher
 // (handlers record their goroutine; all requests must land on one).
-func TestServePortsSingleGoroutine(t *testing.T) {
+func TestLoopSingleReceiver(t *testing.T) {
 	space := ipc.NewSpace(0, nil)
 	clientSpace := ipc.NewSpace(0, nil)
 	defer space.Destroy()
@@ -118,7 +127,8 @@ func TestServePortsSingleGoroutine(t *testing.T) {
 		srvs = append(srvs, srv)
 		clients = append(clients, NewClient(clientSpace, svc, 10*time.Second))
 	}
-	go srvs[0].ServePorts(srvs[1], srvs[2])
+	serveAll(t, srvs)
+	go srvs[0].Run()
 	defer func() {
 		for _, s := range srvs {
 			s.Stop()
@@ -145,14 +155,17 @@ func TestServePortsSingleGoroutine(t *testing.T) {
 	}
 }
 
-// TestServePortsPartialStop: one member stopping leaves the other
-// services running on the shared loop.
-func TestServePortsPartialStop(t *testing.T) {
+// TestLoopPartialStop: one member stopping leaves the other services
+// running on the shared loop.
+func TestLoopPartialStop(t *testing.T) {
 	_, srvs, clients := multiServer(t, 3)
-	done := make(chan error, 1)
-	go func() { done <- srvs[0].ServePorts(srvs[1], srvs[2]) }()
-	// Warm up each service before stopping one: Stop must not race the
-	// loop's own set construction.
+	serveAll(t, srvs)
+	done := make(chan struct{})
+	go func() {
+		srvs[0].Run()
+		close(done)
+	}()
+	// Warm up each service before stopping one.
 	for i, c := range clients {
 		if _, err := c.Invoke(msgEcho, NewEnc().U64(0)); err != nil {
 			t.Fatalf("warm-up %d: %v", i, err)
@@ -175,21 +188,25 @@ func TestServePortsPartialStop(t *testing.T) {
 	}
 	srvs[0].Stop()
 	srvs[2].Stop()
-	if err := <-done; err != nil {
-		t.Fatalf("ServePorts: %v", err)
-	}
+	<-done
 }
 
-// TestServePortsRejectsForeignSpace: all servers must share one space.
-func TestServePortsRejectsForeignSpace(t *testing.T) {
-	_, srvs, _ := multiServer(t, 1)
+// TestLoopRejectsForeignSpace: a loop serves only receive rights of its
+// own space; a server of another space, which the loop's space can at
+// most name with a send right, is refused.
+func TestLoopRejectsForeignSpace(t *testing.T) {
+	space, srvs, _ := multiServer(t, 1)
 	other := ipc.NewSpace(0, nil)
 	defer other.Destroy()
 	foreign, err := NewServer(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srvs[0].ServePorts(foreign); err == nil {
+	n, err := other.CopySendRight(space, foreign.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srvs[0].Loop.Serve(n, foreign.Serve); err == nil {
 		t.Fatal("foreign-space server accepted")
 	}
 }
@@ -212,18 +229,18 @@ func (a *atomic32) load() int {
 	return a.v
 }
 
-// TestServePortsWorkerPool proves WithWorkers composes with ServePorts:
-// the pooled set loop must hold `workers` handler invocations in flight
-// at once, across BOTH member servers. The handler is a rendezvous that
-// only returns once all calls have arrived — inline dispatch (the
-// workers=0 path) could never serve a second call while the first is
-// parked, so completion itself is the proof of concurrency.
-func TestServePortsWorkerPool(t *testing.T) {
+// TestLoopWorkers proves several receivers compose with several
+// members: the loop must hold `workers` handler invocations in flight at
+// once, across BOTH member servers. The handler is a rendezvous that
+// only returns once all calls have arrived — a single receiver could
+// never serve a second call while the first is parked, so completion
+// itself is the proof of concurrency.
+func TestLoopWorkers(t *testing.T) {
 	const workers = 4
 	space := ipc.NewSpace(0, nil)
 	clientSpace := ipc.NewSpace(0, nil)
 	t.Cleanup(func() { space.Destroy(); clientSpace.Destroy() })
-	srvA, err := NewServer(space, WithWorkers(workers))
+	srvA, err := NewServer(space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +273,12 @@ func TestServePortsWorkerPool(t *testing.T) {
 		}
 		clients[i] = NewClient(clientSpace, svc, 10*time.Second)
 	}
-	loopDone := make(chan error, 1)
-	go func() { loopDone <- srvA.ServePorts(srvB) }()
+	serveAll(t, []*Server{srvA, srvB})
+	loopDone := make(chan struct{})
+	go func() {
+		srvA.Loop.Run(workers)
+		close(loopDone)
+	}()
 
 	errs := make(chan error, workers)
 	for i := 0; i < workers; i++ {
@@ -282,7 +303,5 @@ func TestServePortsWorkerPool(t *testing.T) {
 	}
 	srvA.Stop()
 	srvB.Stop()
-	if err := <-loopDone; err != nil {
-		t.Fatal(err)
-	}
+	<-loopDone
 }

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,26 +79,28 @@ func (r *Reply) CarryRelease(sec ipc.Section) *Reply {
 	return r
 }
 
-// Server is the demux loop of a service port: it owns the port, looks up
-// the registered handler for each request's MsgID, and replies — with
-// the handler's result, with the handler's error status, or with
+// Server demuxes a service port: it owns the port, looks up the
+// registered handler for each request's MsgID, and replies — with the
+// handler's result, with the handler's error status, or with
 // StatusBadID when no handler is registered (in the seed repo an unknown
 // ID was silently dropped and the client blocked until its timeout).
 //
-// A server runs in one of two modes:
-//
-//   - Own loop: call Run (usually `go srv.Run()`); it receives on the
-//     service port until Stop, optionally fanning requests out to a
-//     worker pool.
-//   - Embedded: servers built on pager.Manager Adopt the service port
-//     into the manager's port set and install Dispatch as the manager's
-//     Default, so pager calls and service calls share one thread.
+// Serve is the port's handler in an ipc.Loop. NewServer puts the port in
+// the server's own Loop, which Run serves on one receiver and Loop.Run
+// on several; a server embedded in another task's loop — the
+// pager.Manager loop of fs, netmem and camelot — moves its port there
+// with that loop's Serve, so pager calls and service calls share one
+// receive point. Either way the loop releases each request once Serve
+// has answered it.
 type Server struct {
 	// Space is the server task's port name space.
 	Space *ipc.Space
 	// Port is the service port name in Space (allocated by NewServer);
 	// publish a send right to clients with CopySendRight.
 	Port ipc.Name
+	// Loop is the server's own receive point, holding Port until an
+	// embedding loop takes it over.
+	Loop *ipc.Loop
 
 	handlers map[ipc.MsgID]HandlerFunc
 	// methods holds the per-MsgID metrics bundle of every registered
@@ -107,36 +108,13 @@ type Server struct {
 	// contract as handlers, so serving reads it unsynchronized).
 	methods map[ipc.MsgID]*obs.RPCMethod
 	met     *obs.RPCMetrics
-	workers int
 	stopped atomic.Bool
-
-	// ownWatcher is the private lifecycle watcher StopWhenUnreferenced
-	// starts when the caller passes none; Stop terminates it.
-	ownWatcher *lifecycle.Watcher
-
-	poolOnce sync.Once
-	ch       chan *ipc.Message
-	wg       sync.WaitGroup
 }
 
-// Option configures a Server.
-type Option func(*Server)
-
-// WithWorkers makes Run dispatch requests on n concurrent worker
-// goroutines instead of inline. Handlers must then be safe for
-// concurrent use. Embedded (Dispatch) servers ignore it.
-func WithWorkers(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.workers = n
-		}
-	}
-}
-
-// NewServer allocates a fresh service port on space and returns a
-// server demuxing it. Register handlers with Handle before
-// serving requests.
-func NewServer(space *ipc.Space, opts ...Option) (*Server, error) {
+// NewServer allocates a fresh service port on space, in a loop of its
+// own, and returns a server demuxing it. Register handlers with Handle
+// before serving requests.
+func NewServer(space *ipc.Space) (*Server, error) {
 	port, err := space.AllocatePort()
 	if err != nil {
 		return nil, err
@@ -144,6 +122,7 @@ func NewServer(space *ipc.Space, opts ...Option) (*Server, error) {
 	s := &Server{
 		Space:    space,
 		Port:     port,
+		Loop:     ipc.NewLoop(space),
 		handlers: make(map[ipc.MsgID]HandlerFunc),
 		methods:  make(map[ipc.MsgID]*obs.RPCMethod),
 		met:      obs.RPCHost(int(space.Host())),
@@ -152,154 +131,34 @@ func NewServer(space *ipc.Space, opts ...Option) (*Server, error) {
 	// demux through the same handler table as singleton requests.
 	s.handlers[MsgBatch] = s.serveBatch
 	s.methods[MsgBatch] = obs.RPCMethodMetrics(int(space.Host()), int32(MsgBatch))
-	for _, o := range opts {
-		o(s)
+	if err := s.Loop.Serve(port, s.Serve); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // Handle registers fn for the given request ID. Registration is not
-// synchronized with serving: register every handler before Run or the
-// first Dispatch.
+// synchronized with serving: register every handler before the port's
+// loop runs.
 func (s *Server) Handle(id ipc.MsgID, fn HandlerFunc) {
 	s.handlers[id] = fn
 	s.methods[id] = obs.RPCMethodMetrics(int(s.Space.Host()), int32(id))
 }
 
-// Run receives on the service port and dispatches until the port or
-// space dies (see Stop). With WithWorkers(n) it fans requests out to n
-// goroutines and returns only after they drain.
-func (s *Server) Run() {
-	if s.workers > 0 {
-		s.poolOnce.Do(s.startPool)
-		defer func() {
-			close(s.ch)
-			s.wg.Wait()
-		}()
-	}
-	for {
-		m, err := s.Space.Receive(s.Port, ipc.ReceiveOptions{})
-		if err != nil {
-			// Stop deallocated the service port (or the space died);
-			// nothing more can arrive. Requests already received are
-			// always served — a dequeued message must never be dropped,
-			// or its client would block for its full timeout.
-			return
-		}
-		if s.workers > 0 {
-			s.ch <- m
-		} else {
-			s.serve(m)
-			m.Release()
-		}
-	}
-}
+// Run serves the server's own loop on the calling goroutine until Stop
+// (or until the space dies).
+func (s *Server) Run() { s.Loop.Run(1) }
 
-func (s *Server) startPool() {
-	s.ch = make(chan *ipc.Message, s.workers)
-	for i := 0; i < s.workers; i++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for m := range s.ch {
-				s.serve(m)
-				m.Release()
-			}
-		}()
-	}
-}
-
-// ServePorts runs ONE receive loop over a port set containing this
-// server's service port and every other server's — the paper's servers'
-// shape of multiplexing many client ports through one receive point
-// (§4-§5), here letting N services (an fs, a netmem, a camelot — any
-// mix of protocols with disjoint handler tables) share a single
-// goroutine instead of costing a loop each. All servers must live on
-// this server's Space. Requests are dispatched to the owning server by
-// arrival port, with fair round-robin across the ports, so one flooded
-// service cannot starve the rest.
-//
-// The loop runs on the calling goroutine (usually `go a.ServePorts(b,
-// c)`). With WithWorkers(n) on the receiving server s, requests fan out
-// to n worker goroutines (handlers of every member server must then be
-// safe for concurrent use); otherwise dispatch is inline. It returns
-// nil once every member server has stopped (each Stop deallocates its
-// service port, which drops the port out of the set; the emptied set
-// ends the loop), or the space's death error. Received requests are
-// always served before the loop exits — on the pooled path the workers
-// drain before ServePorts returns.
-func (s *Server) ServePorts(others ...*Server) error {
-	set, err := s.Space.AllocatePortSet()
-	if err != nil {
-		return err
-	}
-	defer func() { _ = s.Space.DeallocatePort(set) }()
-	byPort := make(map[ipc.Name]*Server, 1+len(others))
-	for _, srv := range append([]*Server{s}, others...) {
-		if srv.Space != s.Space {
-			return errors.New("rpc: ServePorts servers must share one space")
-		}
-		if err := s.Space.MoveToPortSet(set, srv.Port); err != nil {
-			return err
-		}
-		byPort[srv.Port] = srv
-	}
-	// The pool is local to this loop (not s.ch): the set multiplexes
-	// several servers' ports, so a pooled request carries its owning
-	// server along with the message.
-	type setReq struct {
-		srv *Server
-		m   *ipc.Message
-	}
-	var pool chan setReq
-	if s.workers > 0 {
-		pool = make(chan setReq, s.workers)
-		var wg sync.WaitGroup
-		for i := 0; i < s.workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := range pool {
-					r.srv.serve(r.m)
-					r.m.Release()
-				}
-			}()
-		}
-		defer wg.Wait()
-		defer close(pool)
-	}
-	for {
-		m, err := s.Space.Receive(set, ipc.ReceiveOptions{})
-		if err == ipc.ErrNoEnabledPorts {
-			// Every member stopped; the multiplexed loop is done.
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if srv, ok := byPort[m.LocalPort]; ok {
-			if pool != nil {
-				pool <- setReq{srv: srv, m: m}
-				continue
-			}
-			srv.serve(m)
-		}
-		m.Release()
-	}
-}
-
-// Stop ends a Run loop gracefully: no further requests are accepted (the
+// Stop ends the server gracefully: no further requests are accepted (the
 // service port is deallocated, so client sends fail fast instead of
-// queueing), in-flight handlers finish, and their replies still go out
-// on the clients' reply ports.
+// queueing), in-flight handlers finish and their replies still go out on
+// the clients' reply ports, and Stop returns once the server's own loop
+// has returned.
 func (s *Server) Stop() {
-	if s.stopped.Swap(true) {
-		return
+	if !s.stopped.Swap(true) {
+		_ = s.Space.DeallocatePort(s.Port)
 	}
-	_ = s.Space.DeallocatePort(s.Port)
-	if s.ownWatcher != nil {
-		s.ownWatcher.Stop()
-	}
+	s.Loop.Stop()
 }
 
 // Stopped reports whether Stop has run (directly or through
@@ -311,9 +170,9 @@ func (s *Server) Stopped() bool { return s.stopped.Load() }
 // transit inside messages, and kernel references (netmsg proxies on
 // other hosts) all count; the server's own send right does not. The
 // watcher w dispatches the space's notifications — servers embedded in
-// a manager loop must pass the watcher chained into that loop. Passing
-// nil starts a private Run-mode watcher, which is only safe when
-// nothing else receives the space's notifications. Arm AFTER bootstrap
+// a manager loop must pass that loop's watcher. Passing nil serves a new
+// watcher on the server's own loop, which is only right when nothing
+// else receives the space's notifications. Arm AFTER bootstrap
 // is complete: a request armed at zero fires on the next transition to
 // zero, so arming before the first CopySendRight-style publication is
 // safe — but any bootstrap step that transiently mints and releases a
@@ -323,25 +182,21 @@ func (s *Server) Stopped() bool { return s.stopped.Load() }
 func (s *Server) StopWhenUnreferenced(w *lifecycle.Watcher) error {
 	if w == nil {
 		w = lifecycle.New(s.Space)
-		s.ownWatcher = w
-		go w.Run()
+		if err := w.ServeOn(s.Loop); err != nil {
+			return err
+		}
 	}
 	return w.OnNoSenders(s.Port, func(ipc.Name) { s.Stop() })
 }
 
-// Dispatch serves one already-received message — the embedded mode for
-// tasks whose receive loop lives elsewhere (pager.Manager's Default).
-func (s *Server) Dispatch(m *ipc.Message) { s.serve(m) }
-
-// serve looks up the handler and sends the reply. The request message
-// itself is NOT recycled here: loop modes that own their messages (Run,
-// ServePorts, the worker pool) release it after serve returns, while
-// Dispatch leaves ownership with the embedding receive loop.
-func (s *Server) serve(m *ipc.Message) {
+// Serve is the service port's loop handler: it looks up the request's
+// handler and sends the reply. It never keeps the request: the loop that
+// received it recycles it once Serve returns.
+func (s *Server) Serve(m *ipc.Message) bool {
 	fn, ok := s.handlers[m.ID]
 	if !ok {
 		s.replyStatus(m, StatusBadID, nil)
-		return
+		return false
 	}
 	met := s.methods[m.ID]
 	start := time.Now()
@@ -355,7 +210,7 @@ func (s *Server) serve(m *ipc.Message) {
 	}
 	if err != nil {
 		s.replyStatus(m, StatusOf(err), nil)
-		return
+		return false
 	}
 	if r == nil {
 		// One-way message: nothing to send, but still release the reply
@@ -363,10 +218,11 @@ func (s *Server) serve(m *ipc.Message) {
 		if m.RemotePort != 0 {
 			_ = s.Space.DeallocatePort(m.RemotePort)
 		}
-		return
+		return false
 	}
 	s.replyStatus(m, StatusOK, r)
 	r.recycle()
+	return false
 }
 
 // Deferred is a reply a handler took over from the server with Defer: the

@@ -11,11 +11,11 @@ import (
 
 // testPair builds a served space and a client space holding a send right
 // to the service port.
-func testPair(t *testing.T, opts ...Option) (*Server, *Client, *ipc.Space) {
+func testPair(t *testing.T) (*Server, *Client, *ipc.Space) {
 	t.Helper()
 	serverSpace := ipc.NewSpace(0, nil)
 	clientSpace := ipc.NewSpace(0, nil)
-	srv, err := NewServer(serverSpace, opts...)
+	srv, err := NewServer(serverSpace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,10 @@ func TestOneWayHandler(t *testing.T) {
 	}
 }
 
-// TestWorkerPool: concurrent handlers run under WithWorkers and every
-// call is answered.
+// TestWorkerPool: concurrent handlers run on a loop with several
+// receivers and every call is answered.
 func TestWorkerPool(t *testing.T) {
-	srv, client, _ := testPair(t, WithWorkers(4))
+	srv, client, _ := testPair(t)
 	var inflight, peak atomic.Int32
 	srv.Handle(msgEcho, func(m *ipc.Message, d *Dec) (*Reply, error) {
 		cur := inflight.Add(1)
@@ -188,7 +188,7 @@ func TestWorkerPool(t *testing.T) {
 		inflight.Add(-1)
 		return echoHandler(m, d)
 	})
-	go srv.Run()
+	go srv.Loop.Run(4)
 	defer srv.Stop()
 
 	const calls = 16
@@ -244,9 +244,9 @@ func TestStop(t *testing.T) {
 // Regression test for a 30s-timeout hang found by the multicore RPC
 // benchmark.
 func TestWorkerPoolSerialClients(t *testing.T) {
-	srv, _, _ := testPair(t, WithWorkers(4))
+	srv, _, _ := testPair(t)
 	srv.Handle(msgEcho, echoHandler)
-	go srv.Run()
+	go srv.Loop.Run(4)
 	defer srv.Stop()
 
 	const (

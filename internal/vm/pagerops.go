@@ -192,7 +192,7 @@ func (s *System) flushRange(obj *Object, offset, size uint64, invalidate bool) i
 			goto retry
 		}
 		if p.dirty {
-			data := make([]byte, ps)
+			data := s.pageBufLocked()
 			copy(data, s.frames.Bytes(p.frame))
 			writes = append(writes, wb{off, data})
 			p.dirty = false
@@ -208,6 +208,13 @@ func (s *System) flushRange(obj *Object, offset, size uint64, invalidate bool) i
 		for _, w := range writes {
 			pager.DataWrite(obj, w.off, w.data)
 		}
+	}
+	if len(writes) > 0 {
+		s.mu.Lock()
+		for _, w := range writes {
+			s.putPageBufLocked(w.data)
+		}
+		s.mu.Unlock()
 	}
 	return len(writes)
 }

@@ -291,7 +291,7 @@ func (s *System) terminateObject(o *Object) {
 			continue
 		}
 		if p.dirty && o.pager != nil && !o.internal {
-			data := make([]byte, s.PageSize())
+			data := s.pageBufLocked()
 			copy(data, s.frames.Bytes(p.frame))
 			wbs = append(wbs, writeback{p.offset, data})
 		}
@@ -303,6 +303,9 @@ func (s *System) terminateObject(o *Object) {
 	// pages collected before it down with it.
 	pager := o.pager
 	if pager == nil {
+		for _, wb := range wbs {
+			s.putPageBufLocked(wb.data)
+		}
 		wbs = nil
 	}
 	s.stats.Pageouts += int64(len(wbs))
@@ -310,6 +313,13 @@ func (s *System) terminateObject(o *Object) {
 
 	for _, wb := range wbs {
 		pager.DataWrite(o, wb.offset, wb.data)
+	}
+	if len(wbs) > 0 {
+		s.mu.Lock()
+		for _, wb := range wbs {
+			s.putPageBufLocked(wb.data)
+		}
+		s.mu.Unlock()
 	}
 	if pager != nil {
 		pager.Terminate(o)
@@ -386,8 +396,9 @@ func (s *System) freePageLocked(p *Page) {
 	s.cond.Broadcast()
 }
 
-// pageBufLocked returns a page-sized buffer for the pageout daemon to
-// carry a dirty page's contents to its pager. System lock held.
+// pageBufLocked returns a page-sized buffer to carry a dirty page's
+// contents to its pager — from the pageout daemon, a clean or flush
+// request, or object termination. System lock held.
 func (s *System) pageBufLocked() []byte {
 	if n := len(s.pageBufs); n > 0 {
 		b := s.pageBufs[n-1]

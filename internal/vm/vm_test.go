@@ -1083,3 +1083,60 @@ func TestCOWMatchesReferenceModel(t *testing.T) {
 		t.Fatal("child diverged from reference model")
 	}
 }
+
+// TestWriteBacksCarryEveryPageIntact: flush, clean and termination carry
+// each dirty page to the pager in a recycled page buffer; every page's
+// bytes must arrive intact, however many pages one call writes back and
+// however often the buffers go round.
+func TestWriteBacksCarryEveryPageIntact(t *testing.T) {
+	const pages = 8
+	s := newTestSystem(t)
+	fp := newFakePager(s)
+	obj := s.NewExternalObject(fp, pages*testPageSize)
+	m := s.NewMap(mapLo, mapHi)
+	addr, err := m.AllocateWithObject(obj, 0, 0, pages*testPageSize, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := func(round, page int) []byte {
+		b := make([]byte, testPageSize)
+		for j := range b {
+			b[j] = byte(round*67 + page*31 + j)
+		}
+		return b
+	}
+	dirty := func(round int) {
+		t.Helper()
+		for i := 0; i < pages; i++ {
+			if err := m.WriteBytes(addr+uint64(i*testPageSize), stamp(round, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(round int, how string) {
+		t.Helper()
+		fp.mu.Lock()
+		defer fp.mu.Unlock()
+		for i := 0; i < pages; i++ {
+			if got := fp.backing[uint64(i*testPageSize)]; !bytes.Equal(got, stamp(round, i)) {
+				t.Fatalf("%s: page %d arrived as %x, want %x", how, i, got[:4], stamp(round, i)[:4])
+			}
+		}
+	}
+	dirty(1)
+	if n := s.FlushRequest(obj, 0, pages*testPageSize); n != pages {
+		t.Fatalf("flush wrote %d pages, want %d", n, pages)
+	}
+	check(1, "flush")
+	dirty(2)
+	if n := s.CleanRequest(obj, 0, pages*testPageSize); n != pages {
+		t.Fatalf("clean wrote %d pages, want %d", n, pages)
+	}
+	check(2, "clean")
+	dirty(3)
+	m.Deallocate(addr, pages*testPageSize)
+	check(3, "termination")
+	if n := fp.writeCount(); n != 3*pages {
+		t.Fatalf("%d writes, want %d", n, 3*pages)
+	}
+}

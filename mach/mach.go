@@ -204,9 +204,21 @@ type Slab = ipc.Slab
 // queues and backlogs (per-port backpressure is untouched); a member's
 // messages arrive ONLY through the set (direct receives answer
 // ErrInSet), so a message is never delivered twice. A set is the only
-// way to receive from more than one port. RPCServer.ServePorts serves
-// several services from one goroutine over a set; every pager manager
-// multiplexes its object, notify and service ports the same way.
+// way to receive from more than one port. A Loop is a set whose members
+// each carry a handler: its receivers dispatch every message by the port
+// it arrived on and release it afterwards. Every RPCServer and pager
+// manager serves its ports through one; several services share a
+// receive point by serving their ports in one Loop.
+
+// Loop is a server task's receive point; LoopHandler serves one message
+// and reports whether it kept it.
+type (
+	Loop        = ipc.Loop
+	LoopHandler = ipc.Handler
+)
+
+// NewLoop allocates a loop on a space.
+var NewLoop = ipc.NewLoop
 
 // Port-set errors.
 var (
@@ -229,8 +241,8 @@ var (
 // per-name callbacks with the make-send staleness check applied.
 type LifecycleWatcher = lifecycle.Watcher
 
-// NewLifecycleWatcher builds a watcher over a space's notifications
-// (run with `go w.Run()`, or chain w.Dispatch into a manager loop).
+// NewLifecycleWatcher builds a watcher over a space's notifications;
+// w.ServeOn(loop) makes it the handler of the space's notify port.
 var NewLifecycleWatcher = lifecycle.New
 
 // ErrDeadName: the name refers to a port whose receive right was
@@ -297,13 +309,10 @@ const (
 	StatusServerErr = rpc.StatusServerErr
 )
 
-// NewRPCServer allocates a service port on space and returns its demux.
-func NewRPCServer(space *Space, opts ...rpc.Option) (*RPCServer, error) {
-	return rpc.NewServer(space, opts...)
-}
-
-// WithRPCWorkers sizes the server's worker pool (default 1, serial).
-var WithRPCWorkers = rpc.WithWorkers
+// NewRPCServer allocates a service port on space, in the server's own
+// Loop, and returns its demux. srv.Run serves it on one receiver,
+// srv.Loop.Run(n) on n.
+var NewRPCServer = rpc.NewServer
 
 // NewRPCClient builds a typed client for a published service port.
 func NewRPCClient(space *Space, svc Name, timeout time.Duration) *RPCClient {

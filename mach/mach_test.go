@@ -332,8 +332,12 @@ func TestPortSetFacade(t *testing.T) {
 
 	// Dead-name notification through the watcher facade.
 	w := mach.NewLifecycleWatcher(client.Space)
-	go w.Run()
-	defer w.Stop()
+	loop := mach.NewLoop(client.Space)
+	if err := w.ServeOn(loop); err != nil {
+		t.Fatal(err)
+	}
+	go loop.Run(1)
+	defer loop.Stop()
 	fired := make(chan mach.Name, 1)
 	if err := w.OnDeadName(ca, func(n mach.Name) { fired <- n }); err != nil {
 		t.Fatal(err)
