@@ -48,7 +48,7 @@ test:
 # (the vm.Map races did) stays invisible at the runner's default.
 race:
 	$(GO) test -race -cpu 1,2 ./...
-	$(GO) test -race -count=2 -run 'TestPortSetChurnStress' ./internal/ipc
+	$(GO) test -race -count=2 -run 'TestPortSetChurnStress|TestLoopReceiversShareOneSet' ./internal/ipc
 
 # stress repeats the tests that find interleaving bugs — cross-host
 # out-of-line transfers through the shared transit map, the concurrent
@@ -59,8 +59,10 @@ race:
 # grants of page-in (every way a grant is settled gives its frames back,
 # and none crosses a host), out-of-line messages that die undelivered
 # and paging through recycled storage (pooled pager messages, pageout
-# buffers and page structures: stamped pages must read back intact) —
-# on one, two and four processors. A cold first iteration often
+# buffers and page structures: stamped pages must read back intact) and
+# the service loops (several receivers on one set, a handler stopping its
+# own loop, and thousands of started and stopped loops leaving no
+# goroutine behind) — on one, two and four processors. A cold first iteration often
 # passes where the tenth does not.
 stress:
 	$(GO) test -run 'TestCrossHostStress' -cpu 1,2,4 -count=20 ./internal/netmsg
@@ -71,6 +73,8 @@ stress:
 	$(GO) test -run 'TestProvideRangeFillsGrant|TestGrantFramesComeBack|TestPagingKeepsStamps' -cpu 1,2,4 -count=20 ./internal/pager
 	$(GO) test -run 'TestGrant|TestHoardingManagerIsBounded|TestPVListKeepsCapacity' -cpu 1,2,4 -count=20 ./internal/vm
 	$(GO) test -run 'TestDroppedOOLMessageReleasesTransit|TestGrantStaysOnItsHost|TestFSFileReadThroughGrant' -cpu 1,2,4 -count=20 ./internal/kern
+	$(GO) test -run 'TestLoopReceiversShareOneSet|TestLoopSelfStop|TestLoopStopJoins' -cpu 1,2,4 -count=20 ./internal/ipc
+	$(GO) test -run 'TestStoppedLoopsLeaveNoGoroutine' -cpu 1,2,4 -count=20 ./internal/pager
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecode -fuzztime=5s ./internal/rpc

@@ -33,9 +33,12 @@ type Loop struct {
 	// live counts the receivers Run started that have not returned, and
 	// runs the Run calls that have not returned.
 	live, runs int
-	// receivers maps each running receiver's goroutine id to whether
-	// that receiver is inside Stop (a handler stopping its own loop);
-	// stopping counts those that are. Stop waits for every other one.
+	// receivers maps the goroutine id of each running receiver that has
+	// called a handler to whether it is inside Stop (a handler stopping
+	// its own loop); stopping counts those that are. Stop waits for every
+	// other receiver. A receiver reads its id when it first calls a
+	// handler: reading one costs microseconds, and only a handler can
+	// call Stop from a receiver.
 	receivers map[uint64]bool
 	stopping  int
 }
@@ -43,7 +46,7 @@ type Loop struct {
 // NewLoop allocates a loop's port set on s. On a dead space the loop is
 // born stopped: Serve fails and Run returns at once.
 func NewLoop(s *Space) *Loop {
-	l := &Loop{space: s, receivers: make(map[uint64]bool)}
+	l := &Loop{space: s}
 	l.exited.L = &l.mu
 	ps := newPortSet(s)
 	if set, err := s.allocEntry(&entry{set: ps}); err == nil {
@@ -97,17 +100,27 @@ func (l *Loop) Run(workers int) {
 // hands it to that member's handler and releases it unless the handler
 // kept it, until the set dies or empties.
 func (l *Loop) receive() {
-	id := goid()
-	l.mu.Lock()
-	l.receivers[id] = false
-	l.mu.Unlock()
+	var id uint64
 	for {
 		m, h, err := l.ps.receive(ReceiveOptions{})
 		if err != nil {
 			break
 		}
 		l.space.received(m)
-		if h == nil || !h(m) {
+		if h == nil {
+			m.Release()
+			continue
+		}
+		if id == 0 {
+			id = goid()
+			l.mu.Lock()
+			if l.receivers == nil {
+				l.receivers = make(map[uint64]bool)
+			}
+			l.receivers[id] = false
+			l.mu.Unlock()
+		}
+		if !h(m) {
 			m.Release()
 		}
 	}
@@ -128,7 +141,6 @@ func (l *Loop) receive() {
 // Stop may be called more than once, and before Run, which then returns
 // at once.
 func (l *Loop) Stop() {
-	id := goid()
 	l.mu.Lock()
 	first := !l.stopped
 	l.stopped = true
@@ -139,6 +151,11 @@ func (l *Loop) Stop() {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// Only a receiver that has called a handler can be the caller.
+	var id uint64
+	if len(l.receivers) > 0 {
+		id = goid()
+	}
 	inStop, receiver := l.receivers[id]
 	if !receiver {
 		for l.live > 0 || l.runs > 0 {

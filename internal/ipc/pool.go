@@ -16,14 +16,16 @@ import "sync"
 // buffer) again. Releasing a message that is still queued, or twice,
 // corrupts whatever call gets it from the pool next; Release panics on
 // the double-release it can detect. A send that is refused leaves the
-// message with its builder, who releases it.
+// message with its builder, who releases it. A Loop releases every
+// message it received once the handler returns, unless the handler kept
+// it; the kernel's notifications are pooled messages too.
 //
 // The external pager protocol runs on pooled messages in both
-// directions. The kernel's pager_data_request, pager_data_write and
-// pager_data_unlock are released by the receiving pager.Manager's
-// Dispatch once its handler has returned, and the manager's calls back
-// (pager_data_provided, pager_data_unavailable, pager_data_lock, the
-// flush, clean and cache requests) by the kernel loop that applies them.
+// directions. The kernel's calls are released by the receiving
+// pager.Manager's loop once its handler has returned, and the manager's
+// calls back (pager_data_provided, pager_data_unavailable,
+// pager_data_lock, the flush, clean and cache requests) by the kernel
+// loop that applies them.
 // A message one party drops without releasing — one forwarded by the
 // netmsg relay, which sends a copy of its own — is left to the garbage
 // collector, never recycled behind a holder's back.

@@ -3,11 +3,11 @@
 // Mach the procedure-shaped interfaces of the filesystem, data managers
 // and system servers were generated by MIG from one interface definition;
 // here the equivalent is a shared codec (Enc/Dec), a canonical
-// status/errno space (Status), a server demux loop (Server) and typed
-// client call helpers (Client). The seven service protocols of this repo
-// — fs, netmem, camelot, agora, migrate, unixemu and the kernel task
-// ports — all marshal through this package instead of hand-rolling
-// little-endian payloads per server.
+// status/errno space (Status), a server demux (Server) that an ipc.Loop
+// serves, and typed client call helpers (Client). The seven service
+// protocols of this repo — fs, netmem, camelot, agora, migrate, unixemu
+// and the kernel task ports — all marshal through this package instead
+// of hand-rolling little-endian payloads per server.
 //
 // Wire convention: a request payload is the typed fields of the call in
 // order; a reply payload is one Status byte followed by the typed result

@@ -210,14 +210,7 @@ type Slab = ipc.Slab
 // manager serves its ports through one; several services share a
 // receive point by serving their ports in one Loop.
 
-// Loop is a server task's receive point; LoopHandler serves one message
-// and reports whether it kept it.
-type (
-	Loop        = ipc.Loop
-	LoopHandler = ipc.Handler
-)
-
-// NewLoop allocates a loop on a space.
+// NewLoop allocates a Loop on a space.
 var NewLoop = ipc.NewLoop
 
 // Port-set errors.
