@@ -460,10 +460,10 @@ func (p *Port) cancelWait(w *recvWaiter) (*Message, error) {
 }
 
 // tryDequeueFor removes the oldest message without blocking, on behalf
-// of a receive on set, with the handler the member carries. The membership check runs under the port lock,
-// so a set scan never takes a message from a port that left the set —
-// one message, one delivery path, even under concurrent membership
-// churn.
+// of a receive on set, with the handler the member carries. The
+// membership check runs under the port lock, so a set scan never takes a
+// message from a port that left the set — one message, one delivery
+// path, even under concurrent membership churn.
 func (p *Port) tryDequeueFor(set *portSet) (*Message, Handler, bool) {
 	p.mu.Lock()
 	if p.inSet != set || p.queue.n == 0 {

@@ -154,10 +154,10 @@ func (ps *portSet) rebuildLocked() {
 }
 
 // addMember installs p (named n in the owning space) as a member
-// carrying handler h, or gives an existing member h. It returns errRetry when p concurrently belongs to another set — the
-// caller detaches it and tries again. Parked direct receivers are
-// failed with ErrInSet: once a port is in a set, its messages arrive
-// only through the set.
+// carrying handler h, or gives an existing member h. It returns errRetry
+// when p concurrently belongs to another set — the caller detaches it
+// and tries again. Parked direct receivers are failed with ErrInSet: once
+// a port is in a set, its messages arrive only through the set.
 func (ps *portSet) addMember(n Name, p *Port, h Handler) error {
 	ps.mu.Lock()
 	if ps.dead {

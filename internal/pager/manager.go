@@ -259,7 +259,8 @@ type Manager struct {
 	Watcher *lifecycle.Watcher
 
 	// serveObject and requestDied are the manager's loop handler and
-	// port-death callback, bound once.
+	// port-death callback, bound once so that adopting an object port or
+	// registering a request port makes no closure.
 	serveObject ipc.Handler
 	requestDied func(ipc.Name)
 
