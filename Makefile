@@ -62,8 +62,10 @@ race:
 # buffers and page structures: stamped pages must read back intact) and
 # the service loops (several receivers on one set, a handler stopping its
 # own loop, and thousands of started and stopped loops leaving no
-# goroutine behind) — on one, two and four processors. A cold first iteration often
-# passes where the tenth does not.
+# goroutine behind) and iomgr's Close (racing sync and async submitters,
+# and a thousand closed files leaving no worker) — on one, two and four
+# processors. A cold first iteration often passes where the tenth does
+# not.
 stress:
 	$(GO) test -run 'TestCrossHostStress' -cpu 1,2,4 -count=20 ./internal/netmsg
 	$(GO) test -run 'TestConcurrentTransitMatchesModel' -cpu 1,2,4 -count=20 ./internal/vm
@@ -75,6 +77,7 @@ stress:
 	$(GO) test -run 'TestDroppedOOLMessageReleasesTransit|TestGrantStaysOnItsHost|TestFSFileReadThroughGrant' -cpu 1,2,4 -count=20 ./internal/kern
 	$(GO) test -run 'TestLoopReceiversShareOneSet|TestLoopSelfStop|TestLoopStopJoins' -cpu 1,2,4 -count=20 ./internal/ipc
 	$(GO) test -run 'TestStoppedLoopsLeaveNoGoroutine' -cpu 1,2,4 -count=20 ./internal/pager
+	$(GO) test -run 'TestCloseWithSubmittersInFlight|TestClosedFilesLeaveNoGoroutine' -cpu 1,2,4 -count=20 ./internal/iomgr
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecode -fuzztime=5s ./internal/rpc

@@ -82,10 +82,10 @@ func E11DurableIO() Table {
 	paging("pager-warm-16p-64f", 16, 64)
 	d := obs.Default().Snapshot().Diff(regBase)
 	t.Metrics = append(t.Metrics, fmt.Sprintf(
-		"paging cases: pager cold=%d warm=%d evictions=%d writebacks=%d; iomgr submitted=%d batches=%d bytes r/w=%d/%d",
+		"paging cases: pager cold=%d warm=%d evictions=%d writebacks=%d; iomgr submitted=%d bytes r/w=%d/%d",
 		d.Counters["pager.faults_cold"], d.Counters["pager.faults_warm"],
 		d.Counters["pager.evictions"], d.Counters["pager.writebacks"],
-		d.Counters["iomgr.submitted"], d.Counters["iomgr.batches"],
+		d.Counters["iomgr.submitted"],
 		d.Counters["iomgr.bytes_read"], d.Counters["iomgr.bytes_written"]))
 	regBase = obs.Default().Snapshot()
 
@@ -128,10 +128,10 @@ func E11DurableIO() Table {
 	row("camelot-32tx-4w", dm.IOCounters(), dm.WAL().Stats())
 	d = obs.Default().Snapshot().Diff(regBase)
 	t.Metrics = append(t.Metrics, fmt.Sprintf(
-		"camelot case: wal appends=%d forces=%d fsyncs=%d; iomgr fsyncs=%d submitted=%d batches=%d",
+		"camelot case: wal appends=%d forces=%d fsyncs=%d; iomgr fsyncs=%d submitted=%d",
 		d.Counters["camelot.wal_appends"], d.Counters["camelot.wal_forces"],
 		d.Counters["camelot.wal_fsyncs"], d.Counters["iomgr.fsyncs"],
-		d.Counters["iomgr.submitted"], d.Counters["iomgr.batches"]))
+		d.Counters["iomgr.submitted"]))
 	dm.Close()
 	k.Shutdown()
 

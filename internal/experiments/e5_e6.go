@@ -173,7 +173,11 @@ func E6Migration() Table {
 			panic(err)
 		}
 		if c.prepage {
-			for mig.Stats().PagesPrePaged < npages {
+			// Wait until the destination kernel has applied, and the
+			// clock charged, every pre-paged page, and until the
+			// migration has counted each one: it counts a page after
+			// sending it, so either side can finish first.
+			for dst.Statistics().Pageins < npages || mig.Stats().PagesPrePaged < npages {
 				time.Sleep(100 * time.Microsecond)
 			}
 		}

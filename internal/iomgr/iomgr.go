@@ -1,19 +1,19 @@
-// Package iomgr owns asynchronous block I/O against real files: the
-// storage engine underneath the durable pager backing store and the
-// Camelot write-ahead log. Callers submit reads, writes and fsyncs and
-// get a completion handle back; a per-file dispatcher batches queued
-// submissions toward the backend under a queue-depth limit.
+// Package iomgr owns block I/O against real files: the storage engine
+// underneath the durable pager backing store and the Camelot write-ahead
+// log.
 //
-// Two backends provide identical semantics:
+// One function performs an operation: the fault-injection check, the
+// pread/pwrite/fsync, the completion semantics below, the counters and
+// the observer. Callers reach it in one of two ways:
 //
-//   - io_uring on Linux (batched SQE submission, completion-driven
-//     wakeups, no goroutine per operation);
-//   - a portable goroutine worker pool over pread/pwrite/fsync,
-//     selected automatically where io_uring is unavailable (non-Linux
-//     builds, seccomp-filtered containers, io_uring_disabled sysctls)
-//     or explicitly via Options.Backend / IOMGR_BACKEND=pool.
+//   - synchronously (SyncReadAt, SyncWriteAt, SyncFsync), on the
+//     caller's own goroutine — no hand-off to another goroutine;
+//   - asynchronously (ReadAt, WriteAt, Fsync), through a fixed set of
+//     worker goroutines per file reading one bounded queue; the caller
+//     gets an Op back and Awaits it — the WAL's appends, which a later
+//     force awaits.
 //
-// Shared semantics, both backends:
+// Semantics, both ways:
 //
 //   - Reads past end-of-file return the full buffer with the tail
 //     zero-filled (a fresh device reads as zeroes — the machine.Disk
@@ -24,12 +24,18 @@
 //     fsync was submitted is durable. Callers wanting a barrier await
 //     their writes first, then fsync — the WAL's group-commit
 //     discipline.
-//   - Completion order across operations is unspecified.
+//   - An operation failed by InjectFault never reaches the file.
+//   - At most queueDepth operations per file are in flight, sync and
+//     async together.
+//   - Close completes every operation submitted before it; later ones
+//     fail with ErrClosed.
+//   - Completion order across asynchronous operations is unspecified.
 package iomgr
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -64,8 +70,15 @@ func (k OpKind) String() string {
 // ErrClosed is returned by operations submitted after Close.
 var ErrClosed = errors.New("iomgr: file closed")
 
-// Op is one in-flight operation. The submitter owns Buf until the
-// operation completes (Await returns, or the Done channel fires).
+// Per-file tuning: queueDepth caps the operations in flight on one file,
+// sync and async together; workers serve the asynchronous queue.
+const (
+	queueDepth = 64
+	workers    = 4
+)
+
+// Op is one operation. The submitter owns Buf until the operation
+// completes (Await returns).
 type Op struct {
 	// Kind, Off and Buf describe the request. Fsync ignores Off/Buf.
 	Kind OpKind
@@ -76,47 +89,13 @@ type Op struct {
 	N   int
 	Err error
 
-	f    *File
-	done chan *Op
+	done sync.WaitGroup // asynchronous ops: held until completion
 }
-
-// Done returns the completion channel: the op itself is delivered
-// exactly once when it completes.
-func (o *Op) Done() <-chan *Op { return o.done }
 
 // Await blocks until the operation completes and returns its results.
 func (o *Op) Await() (int, error) {
-	<-o.done
+	o.done.Wait()
 	return o.N, o.Err
-}
-
-// complete finishes the op and delivers it to the waiter.
-func (o *Op) complete(n int, err error) {
-	o.N, o.Err = n, err
-	f := o.f
-	f.stats.inflight.Add(-1)
-	f.stats.completed.Add(1)
-	f.met.Completed.Inc()
-	if err != nil {
-		f.stats.errors.Add(1)
-		f.met.Errors.Inc()
-	} else {
-		switch o.Kind {
-		case OpRead:
-			f.stats.bytesRead.Add(int64(n))
-			f.met.BytesRead.Add(uint64(n))
-		case OpWrite:
-			f.stats.bytesWritten.Add(int64(n))
-			f.met.BytesWritten.Add(uint64(n))
-		case OpFsync:
-			f.stats.fsyncs.Add(1)
-			f.met.Fsyncs.Inc()
-		}
-	}
-	if obs := f.observer.Load(); obs != nil {
-		(*obs)(o)
-	}
-	o.done <- o
 }
 
 // Stats is a snapshot of a file's operation counters.
@@ -125,9 +104,6 @@ type Stats struct {
 	Submitted int64
 	Inflight  int64
 	Completed int64
-	// Batches counts dispatcher rounds toward the backend; Submitted
-	// divided by Batches is the achieved batching factor.
-	Batches int64
 	// BytesRead and BytesWritten count successfully transferred bytes.
 	BytesRead    int64
 	BytesWritten int64
@@ -141,7 +117,6 @@ type stats struct {
 	submitted    atomic.Int64
 	inflight     atomic.Int64
 	completed    atomic.Int64
-	batches      atomic.Int64
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
 	fsyncs       atomic.Int64
@@ -153,7 +128,6 @@ func (s *stats) snapshot() Stats {
 		Submitted:    s.submitted.Load(),
 		Inflight:     s.inflight.Load(),
 		Completed:    s.completed.Load(),
-		Batches:      s.batches.Load(),
 		BytesRead:    s.bytesRead.Load(),
 		BytesWritten: s.bytesWritten.Load(),
 		Fsyncs:       s.fsyncs.Load(),
@@ -163,61 +137,39 @@ func (s *stats) snapshot() Stats {
 
 // Options configures Open.
 type Options struct {
-	// QueueDepth bounds in-flight operations per file (the per-device
-	// limit). 0 means DefaultQueueDepth.
-	QueueDepth int
-	// Backend forces a backend: "uring", "pool", or "" for automatic
-	// (io_uring where it works, pool otherwise). The IOMGR_BACKEND
-	// environment variable, when set, overrides "" — CI uses it to
-	// exercise the fallback on kernels that do support io_uring.
+	// Backend names the I/O mechanism: "" or "pool" (positioned
+	// reads and writes on the caller's goroutine or a worker's); any
+	// other name is refused.
 	Backend string
-	// Workers sizes the pool backend (0 means DefaultWorkers). The
-	// uring backend ignores it.
-	Workers int
 	// Create creates the file if absent.
 	Create bool
 }
 
-// Default tuning. Queue depth caps in-flight ops per file; the batch
-// limit caps how many queued submissions one dispatcher round hands the
-// backend.
-const (
-	DefaultQueueDepth = 64
-	DefaultWorkers    = 4
-	maxBatch          = 32
-)
-
-// backend is the submission target behind a File's dispatcher. submit
-// receives batches of ops already charged against the queue-depth
-// limit; each op must eventually reach op.complete (backends call
-// f.finish, which layers the short-I/O semantics on top).
-type backend interface {
-	name() string
-	submit(batch []*Op)
-	close()
-}
-
-// File is an open iomgr file: a submission queue, a dispatcher
-// goroutine batching toward the backend, and completion bookkeeping.
+// File is an open iomgr file: an in-flight limit, the asynchronous
+// queue with its workers, and the counters.
 type File struct {
-	os      *os.File
-	be      backend
-	stats   stats
-	met     *obs.IOMetrics
-	depth   int
-	submitq chan *Op
-	slots   chan struct{} // queue-depth tokens
-	wg      sync.WaitGroup
+	os    *os.File
+	stats stats
+	met   *obs.IOMetrics
+	slots chan struct{} // in-flight tokens, one per op being performed
+	// work holds asynchronous ops, each holding a token, so a send to
+	// it (capacity queueDepth) never blocks.
+	work chan *Op
 
-	mu     sync.Mutex
-	closed bool
+	mu      sync.Mutex     // orders admission against Close
+	closed  bool           // under mu
+	syncs   sync.WaitGroup // admitted synchronous ops
+	workers sync.WaitGroup
 
 	observer atomic.Pointer[func(*Op)]
 	fault    atomic.Pointer[faultPlan]
 }
 
-// Open opens (optionally creating) path for asynchronous I/O.
+// Open opens (optionally creating) path.
 func Open(path string, opts Options) (*File, error) {
+	if opts.Backend != "" && opts.Backend != "pool" {
+		return nil, fmt.Errorf("iomgr: unknown backend %q", opts.Backend)
+	}
 	flags := os.O_RDWR
 	if opts.Create {
 		flags |= os.O_CREATE
@@ -226,67 +178,28 @@ func Open(path string, opts Options) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	depth := opts.QueueDepth
-	if depth <= 0 {
-		depth = DefaultQueueDepth
-	}
 	f := &File{
-		os:      fd,
-		met:     obs.IO(),
-		depth:   depth,
-		submitq: make(chan *Op, depth),
-		slots:   make(chan struct{}, depth),
+		os:    fd,
+		met:   obs.IO(),
+		slots: make(chan struct{}, queueDepth),
+		work:  make(chan *Op, queueDepth),
 	}
-	f.be, err = openBackend(f, opts)
-	if err != nil {
-		fd.Close()
-		return nil, err
+	f.workers.Add(workers)
+	for i := 0; i < workers; i++ {
+		go f.worker()
 	}
-	f.wg.Add(1)
-	go f.dispatch()
 	return f, nil
 }
-
-// backendChoice resolves the configured backend name: explicit option,
-// then the IOMGR_BACKEND environment variable, then automatic.
-func backendChoice(opts Options) string {
-	if opts.Backend != "" {
-		return opts.Backend
-	}
-	return os.Getenv("IOMGR_BACKEND")
-}
-
-// openBackend picks the backend: io_uring where requested or available,
-// the worker pool otherwise.
-func openBackend(f *File, opts Options) (backend, error) {
-	switch choice := backendChoice(opts); choice {
-	case "pool":
-		return newPoolBackend(f, opts.Workers), nil
-	case "uring":
-		return newUringBackend(f)
-	case "":
-		if be, err := newUringBackend(f); err == nil {
-			return be, nil
-		}
-		return newPoolBackend(f, opts.Workers), nil
-	default:
-		return nil, fmt.Errorf("iomgr: unknown backend %q", choice)
-	}
-}
-
-// Backend reports which backend serves this file ("uring" or "pool").
-func (f *File) Backend() string { return f.be.name() }
 
 // Stats returns a snapshot of the operation counters.
 func (f *File) Stats() Stats { return f.stats.snapshot() }
 
-// QueueDepth returns the per-file in-flight limit.
-func (f *File) QueueDepth() int { return f.depth }
-
-// SetObserver installs fn to be called on every completion (before the
-// waiter is released), or removes it when nil. Tests use it to assert
-// operation ordering — e.g. that no data-page write completes before
-// the log force covering it.
+// SetObserver installs fn to be called with a copy of every completed
+// op (before the waiter is released), or removes it when nil. It runs on
+// the goroutine that performed the op: the caller's for a sync op, a
+// worker's for an async one. Tests use it to assert operation ordering
+// — e.g. that no data-page write completes before the log force
+// covering it.
 func (f *File) SetObserver(fn func(*Op)) {
 	if fn == nil {
 		f.observer.Store(nil)
@@ -310,37 +223,144 @@ func (f *File) Fsync() *Op {
 	return f.submit(&Op{Kind: OpFsync})
 }
 
-// SyncReadAt is ReadAt + Await.
+// SyncReadAt reads into buf on the calling goroutine.
 func (f *File) SyncReadAt(buf []byte, off int64) (int, error) {
 	return f.syncOp(OpRead, buf, off)
 }
 
-// SyncWriteAt is WriteAt + Await.
+// SyncWriteAt writes buf on the calling goroutine.
 func (f *File) SyncWriteAt(buf []byte, off int64) (int, error) {
 	return f.syncOp(OpWrite, buf, off)
 }
 
-// SyncFsync is Fsync + Await.
+// SyncFsync is a durability barrier on the calling goroutine.
 func (f *File) SyncFsync() error {
 	_, err := f.syncOp(OpFsync, nil, 0)
 	return err
 }
 
-// opPool recycles the ops of the synchronous calls, each with its
-// buffered completion channel.
-var opPool = sync.Pool{New: func() any { return &Op{done: make(chan *Op, 1)} }}
-
-// syncOp submits a pooled op, awaits it and recycles it. The op is the
-// caller's alone again once Await returns: complete delivers it as its
-// last act, after the observer has run, and neither the dispatcher nor a
-// backend reads an op it has completed.
+// syncOp performs an op on the caller's goroutine. The op lives on the
+// caller's stack: nothing below keeps a pointer to it.
 func (f *File) syncOp(kind OpKind, buf []byte, off int64) (int, error) {
-	op := opPool.Get().(*Op)
-	op.Kind, op.Off, op.Buf = kind, off, buf
-	n, err := f.submit(op).Await()
-	*op = Op{done: op.done}
-	opPool.Put(op)
-	return n, err
+	op := Op{Kind: kind, Off: off, Buf: buf}
+	if f.admit(nil) {
+		f.perform(&op)
+		<-f.slots
+		f.syncs.Done()
+	} else {
+		f.complete(&op, 0, ErrClosed)
+	}
+	return op.N, op.Err
+}
+
+// submit admits op and queues it for a worker; after Close the op comes
+// back already failed with ErrClosed.
+func (f *File) submit(op *Op) *Op {
+	op.done.Add(1)
+	if !f.admit(op) {
+		f.complete(op, 0, ErrClosed)
+		op.done.Done()
+	}
+	return op
+}
+
+// admit takes an in-flight token and counts one op submitted. Once Close
+// has begun it gives the token back and reports false. Otherwise the
+// asynchronous op q is on the queue, or, for a synchronous caller (q ==
+// nil), the op is registered with Close's drain. The token is taken
+// before mu, so nothing blocks while mu is held and Close never waits
+// behind a full file.
+func (f *File) admit(q *Op) bool {
+	f.slots <- struct{}{}
+	f.stats.submitted.Add(1)
+	f.stats.inflight.Add(1)
+	f.met.Submitted.Inc()
+	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		<-f.slots
+		return false
+	}
+	if q != nil {
+		f.work <- q // never blocks: each queued op holds one of queueDepth tokens
+	} else {
+		f.syncs.Add(1)
+	}
+	f.mu.Unlock()
+	return true
+}
+
+// worker performs queued ops until Close closes the queue.
+func (f *File) worker() {
+	defer f.workers.Done()
+	for op := range f.work {
+		f.perform(op)
+		<-f.slots
+		op.done.Done()
+	}
+}
+
+// perform carries op out against the file on the calling goroutine and
+// completes it. The fault check comes first: a faulted op never reaches
+// the file — the bytes of a "failed" write are genuinely not on disk,
+// which is what crash-recovery tests depend on.
+func (f *File) perform(op *Op) {
+	var n int
+	var err error
+	if plan := f.fault.Load(); plan != nil {
+		err = plan.check(op)
+	}
+	if err == nil {
+		switch op.Kind {
+		case OpRead:
+			n, err = f.os.ReadAt(op.Buf, op.Off)
+			if err == io.EOF {
+				// Read past EOF: the tail of a fresh device reads as
+				// zeroes, like machine.Disk's never-written blocks.
+				clear(op.Buf[n:])
+				n, err = len(op.Buf), nil
+			}
+		case OpWrite:
+			n, err = f.os.WriteAt(op.Buf, op.Off)
+			if err == nil && n < len(op.Buf) {
+				err = fmt.Errorf("iomgr: short write (%d of %d bytes)", n, len(op.Buf))
+			}
+		case OpFsync:
+			err = f.os.Sync()
+		}
+	}
+	f.complete(op, n, err)
+}
+
+// complete records op's results, counts it and runs the observer on a
+// copy, so that a synchronous op stays on its caller's stack.
+func (f *File) complete(op *Op, n int, err error) {
+	if err != nil {
+		n = 0
+	}
+	op.N, op.Err = n, err
+	f.stats.inflight.Add(-1)
+	f.stats.completed.Add(1)
+	f.met.Completed.Inc()
+	if err != nil {
+		f.stats.errors.Add(1)
+		f.met.Errors.Inc()
+	} else {
+		switch op.Kind {
+		case OpRead:
+			f.stats.bytesRead.Add(int64(n))
+			f.met.BytesRead.Add(uint64(n))
+		case OpWrite:
+			f.stats.bytesWritten.Add(int64(n))
+			f.met.BytesWritten.Add(uint64(n))
+		case OpFsync:
+			f.stats.fsyncs.Add(1)
+			f.met.Fsyncs.Inc()
+		}
+	}
+	if obs := f.observer.Load(); obs != nil {
+		(*obs)(&Op{Kind: op.Kind, Off: op.Off, Buf: op.Buf, N: op.N, Err: op.Err})
+	}
 }
 
 // Size returns the current file size.
@@ -355,118 +375,9 @@ func (f *File) Size() (int64, error) {
 // Truncate sets the file size (used to preallocate volumes).
 func (f *File) Truncate(size int64) error { return f.os.Truncate(size) }
 
-// submit enqueues op toward the dispatcher.
-func (f *File) submit(op *Op) *Op {
-	op.f = f
-	if op.done == nil {
-		op.done = make(chan *Op, 1)
-	}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		f.stats.submitted.Add(1)
-		f.stats.inflight.Add(1)
-		f.met.Submitted.Inc()
-		op.complete(0, ErrClosed)
-		return op
-	}
-	f.stats.submitted.Add(1)
-	f.stats.inflight.Add(1)
-	f.met.Submitted.Inc()
-	f.submitq <- op
-	f.mu.Unlock()
-	return op
-}
-
-// dispatch drains the submission queue in batches: it blocks for one
-// op, then opportunistically folds every already-queued op (up to
-// maxBatch and the free queue-depth slots) into the same backend
-// submission.
-func (f *File) dispatch() {
-	defer f.wg.Done()
-	batch := make([]*Op, 0, maxBatch)
-	for op := range f.submitq {
-		batch = append(batch[:0], op)
-		f.slots <- struct{}{}
-	fold:
-		for len(batch) < maxBatch {
-			select {
-			case f.slots <- struct{}{}:
-			default:
-				break fold // queue depth exhausted; ship what we have
-			}
-			select {
-			case next, ok := <-f.submitq:
-				if !ok {
-					<-f.slots
-					break fold
-				}
-				batch = append(batch, next)
-			default:
-				<-f.slots
-				break fold
-			}
-		}
-		// Fault injection happens here, BEFORE the backend: a faulted
-		// op never reaches the device — the bytes of a "failed" write
-		// are genuinely not on disk, which is what crash-recovery
-		// tests depend on.
-		if plan := f.fault.Load(); plan != nil {
-			live := batch[:0]
-			for _, op := range batch {
-				if err := plan.check(op); err != nil {
-					f.finish(op, 0, err)
-					continue
-				}
-				live = append(live, op)
-			}
-			batch = live
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		f.stats.batches.Add(1)
-		f.met.Batches.Inc()
-		f.be.submit(batch)
-	}
-	f.be.close()
-}
-
-// finish applies the shared completion semantics on behalf of a
-// backend: EOF zero-fill for reads, short-write errors, then
-// op.complete. n < 0 carries err.
-func (f *File) finish(op *Op, n int, err error) {
-	<-f.slots
-	if n < 0 {
-		n = 0
-	}
-	switch op.Kind {
-	case OpRead:
-		if err == nil && n < len(op.Buf) {
-			// Read past EOF: the tail of a fresh device reads as
-			// zeroes, like machine.Disk's never-written blocks.
-			zero(op.Buf[n:])
-			n = len(op.Buf)
-		}
-	case OpWrite:
-		if err == nil && n < len(op.Buf) {
-			err = fmt.Errorf("iomgr: short write (%d of %d bytes)", n, len(op.Buf))
-		}
-	}
-	if err != nil {
-		n = 0
-	}
-	op.complete(n, err)
-}
-
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-// Close drains in-flight operations, shuts the backend down and closes
-// the file. Further submissions complete with ErrClosed.
+// Close completes every op admitted before it — the workers drain the
+// queue and exit, synchronous callers finish — and closes the file.
+// Later ops complete with ErrClosed.
 func (f *File) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -474,9 +385,10 @@ func (f *File) Close() error {
 		return ErrClosed
 	}
 	f.closed = true
-	close(f.submitq)
+	close(f.work)
 	f.mu.Unlock()
-	f.wg.Wait() // dispatcher done; backend close drained in-flight ops
+	f.workers.Wait()
+	f.syncs.Wait()
 	return f.os.Close()
 }
 

@@ -10,21 +10,9 @@ import (
 	"testing"
 )
 
-// backends lists the backends worth testing on this machine: the pool
-// always, io_uring when the kernel grants it. Every test runs over each
-// so the two implementations can never drift semantically.
-func backends(t *testing.T) []string {
-	t.Helper()
-	bs := []string{"pool"}
-	probe, err := Open(filepath.Join(t.TempDir(), "probe"), Options{Create: true, Backend: "uring"})
-	if err == nil {
-		probe.Close()
-		bs = append(bs, "uring")
-	} else {
-		t.Logf("io_uring unavailable (%v); testing pool backend only", err)
-	}
-	return bs
-}
+// backends lists the backend names every test runs under: the one Open
+// offers.
+var backends = []string{"pool"}
 
 func openTemp(t *testing.T, opts Options) *File {
 	t.Helper()
@@ -38,12 +26,9 @@ func openTemp(t *testing.T, opts Options) *File {
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
-	for _, be := range backends(t) {
+	for _, be := range backends {
 		t.Run(be, func(t *testing.T) {
 			f := openTemp(t, Options{Backend: be})
-			if got := f.Backend(); got != be {
-				t.Fatalf("Backend() = %q, want %q", got, be)
-			}
 			data := []byte("the duality of memory and communication")
 			if _, err := f.SyncWriteAt(data, 4096); err != nil {
 				t.Fatalf("write: %v", err)
@@ -61,7 +46,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 }
 
 func TestReadPastEOFZeroFills(t *testing.T) {
-	for _, be := range backends(t) {
+	for _, be := range backends {
 		t.Run(be, func(t *testing.T) {
 			f := openTemp(t, Options{Backend: be})
 			if _, err := f.SyncWriteAt([]byte("abc"), 0); err != nil {
@@ -95,10 +80,11 @@ func TestConcurrentOpsAndCounters(t *testing.T) {
 		nops  = 256
 		bsize = 512
 	)
-	for _, be := range backends(t) {
+	for _, be := range backends {
 		t.Run(be, func(t *testing.T) {
-			f := openTemp(t, Options{Backend: be, QueueDepth: 8})
-			// Async writes of distinct blocks, all in flight together.
+			f := openTemp(t, Options{Backend: be})
+			// Async writes of distinct blocks, more than queueDepth:
+			// submitters wait for in-flight tokens.
 			ops := make([]*Op, nops)
 			for i := range ops {
 				buf := bytes.Repeat([]byte{byte(i + 1)}, bsize)
@@ -132,34 +118,6 @@ func TestConcurrentOpsAndCounters(t *testing.T) {
 			if st.BytesWritten != nops*bsize || st.BytesRead != nops*bsize || st.Fsyncs != 1 {
 				t.Fatalf("byte counters: %+v", st)
 			}
-			if st.Batches <= 0 || st.Batches > st.Submitted {
-				t.Fatalf("batches: %+v", st)
-			}
-		})
-	}
-}
-
-// TestBatching proves the dispatcher folds queued submissions into
-// fewer backend rounds than one per op.
-func TestBatching(t *testing.T) {
-	for _, be := range backends(t) {
-		t.Run(be, func(t *testing.T) {
-			f := openTemp(t, Options{Backend: be, QueueDepth: 64})
-			const nops = 512
-			ops := make([]*Op, nops)
-			buf := make([]byte, 64)
-			for i := range ops {
-				ops[i] = f.WriteAt(buf, 0)
-			}
-			for _, op := range ops {
-				op.Await()
-			}
-			st := f.Stats()
-			if st.Batches >= st.Submitted {
-				t.Fatalf("no batching: %d batches for %d ops", st.Batches, st.Submitted)
-			}
-			t.Logf("%s: %d ops in %d batches (%.1f ops/batch)",
-				be, st.Submitted, st.Batches, float64(st.Submitted)/float64(st.Batches))
 		})
 	}
 }
@@ -170,9 +128,9 @@ func TestRandomReadWriteStress(t *testing.T) {
 		bsize  = 1024
 		iters  = 2000
 	)
-	for _, be := range backends(t) {
+	for _, be := range backends {
 		t.Run(be, func(t *testing.T) {
-			f := openTemp(t, Options{Backend: be, QueueDepth: 16})
+			f := openTemp(t, Options{Backend: be})
 			var mu sync.Mutex
 			shadow := make([][]byte, blocks) // last written content per block
 			var wg sync.WaitGroup
@@ -217,7 +175,7 @@ func TestRandomReadWriteStress(t *testing.T) {
 }
 
 func TestInjectFault(t *testing.T) {
-	for _, be := range backends(t) {
+	for _, be := range backends {
 		t.Run(be, func(t *testing.T) {
 			f := openTemp(t, Options{Backend: be})
 			boom := errors.New("boom")
@@ -247,11 +205,12 @@ func TestInjectFault(t *testing.T) {
 }
 
 func TestCloseSemantics(t *testing.T) {
-	for _, be := range backends(t) {
+	for _, be := range backends {
 		t.Run(be, func(t *testing.T) {
-			f := openTemp(t, Options{Backend: be, QueueDepth: 8})
-			// Queue work, then close: everything in flight completes.
-			ops := make([]*Op, 64)
+			f := openTemp(t, Options{Backend: be})
+			// Queue more work than queueDepth, then close: everything
+			// submitted completes.
+			ops := make([]*Op, 4*queueDepth)
 			buf := make([]byte, 128)
 			for i := range ops {
 				ops[i] = f.WriteAt(buf, int64(i)*128)
@@ -275,49 +234,71 @@ func TestCloseSemantics(t *testing.T) {
 }
 
 func TestForcedBackendSelection(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "x"), Options{Create: true, Backend: "bogus"}); err == nil {
-		t.Fatal("bogus backend accepted")
+	for _, be := range []string{"", "pool"} {
+		f, err := Open(filepath.Join(t.TempDir(), "x"), Options{Create: true, Backend: be})
+		if err != nil {
+			t.Fatalf("backend %q refused: %v", be, err)
+		}
+		f.Close()
 	}
-	f := openTemp(t, Options{Backend: "pool"})
-	if f.Backend() != "pool" {
-		t.Fatalf("forced pool got %q", f.Backend())
+	for _, be := range []string{"uring", "bogus"} {
+		if _, err := Open(filepath.Join(t.TempDir(), "x"), Options{Create: true, Backend: be}); err == nil {
+			t.Fatalf("backend %q accepted", be)
+		}
 	}
 }
 
+// BenchmarkWriteAt times one 4 KiB op end to end: a synchronous write
+// and read on the caller's goroutine (a read of a written block and one
+// past end-of-file), and asynchronous writes 32 in flight.
 func BenchmarkWriteAt(b *testing.B) {
-	for _, be := range []string{"pool", "uring"} {
-		f, err := Open(filepath.Join(b.TempDir(), "f"), Options{Create: true, Backend: be})
-		if err != nil {
-			continue // backend unavailable here
-		}
-		buf := make([]byte, 4096)
-		b.Run(be, func(b *testing.B) {
-			b.SetBytes(4096)
-			for i := 0; i < b.N; i++ {
-				if _, err := f.SyncWriteAt(buf, int64(i%256)*4096); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(be+"-pipelined", func(b *testing.B) {
-			b.SetBytes(4096)
-			const window = 32
-			ops := make([]*Op, 0, window)
-			for i := 0; i < b.N; i++ {
-				ops = append(ops, f.WriteAt(buf, int64(i%256)*4096))
-				if len(ops) == window {
-					for _, op := range ops {
-						op.Await()
-					}
-					ops = ops[:0]
-				}
-			}
-			for _, op := range ops {
-				op.Await()
-			}
-		})
-		f.Close()
+	f, err := Open(filepath.Join(b.TempDir(), "f"), Options{Create: true})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer f.Close()
+	buf := make([]byte, 4096)
+	b.Run("pool", func(b *testing.B) {
+		b.SetBytes(4096)
+		for i := 0; i < b.N; i++ {
+			if _, err := f.SyncWriteAt(buf, int64(i%256)*4096); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pool-read", func(b *testing.B) {
+		b.SetBytes(4096)
+		for i := 0; i < b.N; i++ {
+			if _, err := f.SyncReadAt(buf, int64(i%256)*4096); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pool-read-eof", func(b *testing.B) {
+		b.SetBytes(4096)
+		for i := 0; i < b.N; i++ {
+			if _, err := f.SyncReadAt(buf, int64(1024+i%256)*4096); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pool-pipelined", func(b *testing.B) {
+		b.SetBytes(4096)
+		const window = 32
+		ops := make([]*Op, 0, window)
+		for i := 0; i < b.N; i++ {
+			ops = append(ops, f.WriteAt(buf, int64(i%256)*4096))
+			if len(ops) == window {
+				for _, op := range ops {
+					op.Await()
+				}
+				ops = ops[:0]
+			}
+		}
+		for _, op := range ops {
+			op.Await()
+		}
+	})
 }
 
 func ExampleFile() {

@@ -238,12 +238,11 @@ func Pager() *PagerMetrics {
 	}
 }
 
-// IOMetrics is the async I/O manager instrumentation, process-global.
+// IOMetrics is the I/O manager instrumentation, process-global.
 type IOMetrics struct {
 	Submitted    *Counter
 	Completed    *Counter
 	Errors       *Counter
-	Batches      *Counter
 	BytesRead    *Counter
 	BytesWritten *Counter
 	Fsyncs       *Counter
@@ -256,7 +255,6 @@ func IO() *IOMetrics {
 		Submitted:    r.Counter("iomgr.submitted"),
 		Completed:    r.Counter("iomgr.completed"),
 		Errors:       r.Counter("iomgr.errors"),
-		Batches:      r.Counter("iomgr.batches"),
 		BytesRead:    r.Counter("iomgr.bytes_read"),
 		BytesWritten: r.Counter("iomgr.bytes_written"),
 		Fsyncs:       r.Counter("iomgr.fsyncs"),

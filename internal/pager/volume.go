@@ -22,9 +22,10 @@ type BlockStore interface {
 	Write(block int, src []byte)
 }
 
-// IOCounters aggregates the real-I/O counters a store can report;
-// machbench's paging experiments surface them so experiments count
-// actual device traffic, not just simulated operations.
+// IOCounters aggregates the real-I/O counters a store can report:
+// device traffic from iomgr-backed stores, frame-pool traffic from a
+// FramePool. machbench's paging experiments surface them so experiments
+// count actual device traffic, not just simulated operations.
 type IOCounters struct {
 	// Reads/Writes/Fsyncs count device operations.
 	Reads  int64
@@ -33,8 +34,6 @@ type IOCounters struct {
 	// BytesRead/BytesWritten count transferred bytes.
 	BytesRead    int64
 	BytesWritten int64
-	// Batches counts backend submission rounds (iomgr-backed stores).
-	Batches int64
 	// Frame-pool traffic, zero for bare devices.
 	FrameHits   int64
 	FrameMisses int64
@@ -48,8 +47,8 @@ type CounterStore interface {
 	Counters() IOCounters
 }
 
-// FileVolume is a BlockStore over a real file, all I/O through the
-// iomgr submission/completion engine. Reads of never-written blocks
+// FileVolume is a BlockStore over a real file, every read and write a
+// synchronous iomgr op on the caller's goroutine. Reads of never-written blocks
 // come back zero-filled (iomgr's past-EOF semantics), matching
 // machine.Disk's fresh-device contract.
 type FileVolume struct {
@@ -103,18 +102,6 @@ func (v *FileVolume) Write(block int, src []byte) {
 	}
 }
 
-// AsyncRead submits a block read without waiting.
-func (v *FileVolume) AsyncRead(block int, dst []byte) *iomgr.Op {
-	v.check(block)
-	return v.f.ReadAt(dst[:v.blockSize], int64(block)*int64(v.blockSize))
-}
-
-// AsyncWrite submits a block write without waiting.
-func (v *FileVolume) AsyncWrite(block int, src []byte) *iomgr.Op {
-	v.check(block)
-	return v.f.WriteAt(src[:v.blockSize], int64(block)*int64(v.blockSize))
-}
-
 // Sync forces written blocks to stable storage.
 func (v *FileVolume) Sync() error { return v.f.SyncFsync() }
 
@@ -130,7 +117,6 @@ func (v *FileVolume) Counters() IOCounters {
 		Fsyncs:       st.Fsyncs,
 		BytesRead:    st.BytesRead,
 		BytesWritten: st.BytesWritten,
-		Batches:      st.Batches,
 	}
 }
 

@@ -430,20 +430,21 @@ func NewManager(space *Space, h Handler) *Manager { return pager.NewManager(spac
 
 // --- durable storage & the I/O manager ----------------------------------------
 
-// The asynchronous block I/O subsystem: iomgr files submit ReadAt /
-// WriteAt / Fsync operations into a submission ring drained in batches
-// by an io_uring backend (Linux) or a portable worker pool — identical
-// semantics either way. A FileVolume is a BlockStore over such a file,
-// a FramePool is a frame-table buffer cache over any BlockStore, and a
-// DefaultPager layered on either pages real files instead of the Go
-// heap (Config.PagingStore / Config.PagingFrames boot a kernel that
-// way).
+// The block I/O subsystem: an iomgr file performs a synchronous read,
+// write or fsync (SyncReadAt / SyncWriteAt / SyncFsync) on the caller's
+// goroutine, and an asynchronous one (ReadAt / WriteAt / Fsync) on one
+// of a few worker goroutines, returning an op to Await. A FileVolume is
+// a BlockStore over such a file, a FramePool is a frame-table buffer
+// cache over any BlockStore, and a DefaultPager layered on either pages
+// real files instead of the Go heap (Config.PagingStore /
+// Config.PagingFrames boot a kernel that way).
 type (
-	// IOFile is an asynchronous-I/O file handle (see IOOpen).
+	// IOFile is a block-I/O file handle (see IOOpen).
 	IOFile = iomgr.File
-	// IOOp is one in-flight operation; Await blocks for completion.
+	// IOOp is one asynchronous operation; Await blocks for completion.
 	IOOp = iomgr.Op
-	// IOOptions selects backend, queue depth and worker count.
+	// IOOptions: Create creates the file; Backend accepts only "" and
+	// "pool".
 	IOOptions = iomgr.Options
 	// IOStats are a file's submission/completion counters.
 	IOStats = iomgr.Stats
@@ -458,8 +459,8 @@ type (
 	IOCounters = pager.IOCounters
 )
 
-// IOOpen opens (or creates, with Options.Create) a file for
-// asynchronous I/O.
+// IOOpen opens (or creates, with Options.Create) a file for block
+// I/O.
 var IOOpen = iomgr.Open
 
 // OpenFileVolume opens a block volume backed by a real file.
